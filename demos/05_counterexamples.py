@@ -15,7 +15,6 @@ from wallkit import (
     check_B6,
     geodesic_context,
     separates,
-    single_crossing_edges,
     wall_distance,
 )
 
@@ -38,7 +37,7 @@ ws2 = build_walls(c2)
 p1, p2 = c2.labeled("p'"), c2.labeled("p''")
 ctx = geodesic_context(c2, ws2, p1, p2)
 print(f"geodesic p'-p'' has {len(ctx.edge_seq)} edges,"
-      f" {len(single_crossing_edges(ctx))} with separating walls")
+      f" {len(ctx.single_crossing)} with separating walls")
 for eid in ctx.edge_seq:
     wid = ws2.wall_of_edge[eid]
     if ctx.crossings[wid] > 1:

@@ -18,7 +18,7 @@ from .errors import (
     UnsettledWall,
     WallkitError,
 )
-from .words import Letter, Word, concat, cyclic_reduce, free_reduce, render, symmetrize
+from .words import Word, concat, cyclic_reduce, free_reduce, render, symmetrize
 from .presentation import (
     MetricReport,
     Piece,
@@ -49,6 +49,7 @@ from .complexes import (
     check_B6,
     check_cprime,
     compute_cell_pieces,
+    geodesic,
     load_complex,
     save_complex,
     subdivide,
@@ -74,7 +75,6 @@ from .separation import (
     cover_split,
     default_region,
     density_threshold,
-    geodesic,
     geodesic_context,
     local_density_check,
     local_to_global_bound,
@@ -83,7 +83,6 @@ from .separation import (
     report_to_csv,
     report_to_json,
     separation_constant,
-    single_crossing_edges,
     verify_linear_separation,
 )
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .complexes import (
     save_complex,
     validity_summary,
 )
-from .dehn import DehnMachine, dehn_reduce, shortlex_normal_form
+from .dehn import DEFAULT_NODE_BUDGET, DehnMachine, dehn_reduce, env_budget, shortlex_normal_form
 from .errors import BudgetExceeded, ParseError, WallkitError
 from .presentation import Presentation, check_small_cancellation, gen_example, parse_presentation
 from .separation import (
@@ -44,16 +43,12 @@ EXIT_BUDGET = 3
 
 @dataclass
 class RunConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
     lam: Fraction = Fraction(1, 6)
     radius: int = 6
-    margin: int | None = None
     vertex_budget: int = 500_000
     node_budget: int = 10**6
     seed: int = 0
     out_dir: Path | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if not (0 < self.lam < 1):
@@ -143,16 +138,12 @@ def cmd_check(args) -> int:
 
 def cmd_separation(args) -> int:
     cfg = RunConfig(
-        "separation",
-        inputs=tuple(s for s in (args.input, getattr(args, "complex_file", None)) if s),
         lam=args.lam,
         radius=args.radius,
-        margin=args.margin,
         vertex_budget=args.vertex_budget,
         node_budget=args.node_budget,
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,
-        jobs=args.jobs,
     )
     if cfg.out_dir:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,7 +189,6 @@ def cmd_separation(args) -> int:
             observe=args.observe,
             max_pairs=args.max_pairs,
             seed=cfg.seed,
-            jobs=cfg.jobs,
         )
     except WallkitError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -251,7 +241,6 @@ def cmd_word(args) -> int:
 
 def cmd_walls_dump(args) -> int:
     cfg = RunConfig(
-        "walls-dump",
         radius=args.radius,
         vertex_budget=args.vertex_budget,
         node_budget=args.node_budget,
@@ -309,8 +298,7 @@ def _add_source_args(sp, with_example: bool = True):
 
 
 def _add_budget_args(sp):
-    env_budget = os.environ.get("WALLKIT_BUDGET")
-    default_nodes = int(env_budget) if env_budget and env_budget.isdigit() else 10**6
+    default_nodes = env_budget(DEFAULT_NODE_BUDGET)
     sp.add_argument("--vertex-budget", type=int, default=min(500_000, default_nodes), help="ball vertex budget")
     sp.add_argument("--node-budget", type=int, default=default_nodes, help="search frontier budget")
     sp.add_argument("--seed", type=int, default=0)
@@ -336,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--margin", type=int, default=None)
     sp.add_argument("--out", help="output directory for report.csv / summary.json")
     sp.add_argument("--dot", action="store_true", help="also write walls.dot")
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_budget_args(sp)
     sp.set_defaults(fn=cmd_separation)
 

@@ -9,7 +9,6 @@ set: two cells attached along the same boundary are the same cell.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,15 +71,18 @@ class Complex:
     def bfs_distances(self, src: int) -> list[int]:
         dist = [-1] * self.nv
         dist[src] = 0
-        q = deque([src])
         adj = self.adjacency()
-        while q:
-            u = q.popleft()
-            du = dist[u] + 1
-            for v, _ in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    q.append(v)
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v, _ in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = d
+                        nxt.append(v)
+            frontier = nxt
         return dist
 
     def validate(self) -> None:
@@ -105,6 +107,28 @@ class Complex:
 
     def has_odd_cell(self) -> bool:
         return any(len(cell) % 2 for cell in self.cells)
+
+
+def geodesic(c: Complex, p: int, q: int, dist_to_q: list[int] | None = None) -> list[int]:
+    """Edge ids of the lexicographically least shortest p->q path.
+
+    Among shortest paths the edge-id sequence is minimized by greedily
+    taking the least progressing edge at each step.
+    """
+    if p == q:
+        raise BadParams("geodesic endpoints must differ")
+    dq = dist_to_q if dist_to_q is not None else c.bfs_distances(q)
+    adj = c.adjacency()
+    path: list[int] = []
+    cur = p
+    while cur != q:
+        best: tuple[int, int] | None = None
+        for v, eid in adj[cur]:
+            if dq[v] == dq[cur] - 1 and (best is None or eid < best[0]):
+                best = (eid, v)
+        path.append(best[0])
+        cur = best[1]
+    return path
 
 
 class _Builder:

@@ -21,14 +21,10 @@ from .words import Word, free_reduce, symmetrize
 DEFAULT_NODE_BUDGET = 10**6
 
 
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("WALLKIT_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+def env_budget(default: int) -> int:
+    """WALLKIT_BUDGET if it is a positive decimal integer, else default."""
+    raw = os.environ.get("WALLKIT_BUDGET", "")
+    return int(raw) if raw.isdecimal() and int(raw) > 0 else default
 
 
 @dataclass
@@ -43,9 +39,9 @@ class _TrieNode:
 class DehnMachine:
     """Immutable rewrite engine for one presentation."""
 
-    def __init__(self, presentation: Presentation, *, node_budget: int | None = None, verify: bool = True):
+    def __init__(self, presentation: Presentation, *, node_budget: int | None = None):
         self.presentation = presentation
-        self.node_budget = _env_budget(node_budget if node_budget is not None else DEFAULT_NODE_BUDGET)
+        self.node_budget = env_budget(node_budget if node_budget is not None else DEFAULT_NODE_BUDGET)
         index_size = sum(2 * r.primitive_period() * len(r) for r in presentation.relators)
         if index_size > max(self.node_budget, DEFAULT_NODE_BUDGET):
             raise BudgetExceeded(
@@ -54,7 +50,7 @@ class DehnMachine:
         self.symmetrized = tuple(sorted(symmetrize(presentation.relators))) if presentation.relators else ()
         self.half_lengths = {r: -(-len(r) // 2) for r in self.symmetrized}
         self.small_cancellation_ok = True
-        if verify and presentation.relators:
+        if presentation.relators:
             report = check_small_cancellation(presentation, Fraction(1, 6))
             self.small_cancellation_ok = report.passed
         self._root = _TrieNode()
@@ -88,20 +84,6 @@ class DehnMachine:
             if node.rewrite is not None:
                 best = (depth, node.rewrite[1])
         return best
-
-    def prefix_matches(self, w: Word, pos: int) -> list[tuple[int, int]]:
-        """All (length, relator length) relator-prefix matches at pos.
-
-        Exposed for validation against naive search.
-        """
-        out = []
-        for r in self.symmetrized:
-            n = 0
-            while pos + n < len(w) and n < len(r) and w[pos + n] == r[n]:
-                n += 1
-            if n:
-                out.append((n, len(r)))
-        return out
 
 
 def dehn_reduce(w: Word, m: DehnMachine) -> Word:

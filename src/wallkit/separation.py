@@ -13,33 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .complexes import Complex, check_cprime
+from .complexes import Complex, check_cprime, geodesic
 from .errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
-from .walls import WallSystem
+from .walls import WallSystem, odd_crossings
 
 # -- geodesics --------------------------------------------------------------
-
-
-def geodesic(c: Complex, p: int, q: int, dist_to_q: list[int] | None = None) -> list[int]:
-    """Edge ids of the lexicographically least shortest p->q path.
-
-    Among shortest paths the edge-id sequence is minimized by greedily
-    taking the least progressing edge at each step.
-    """
-    if p == q:
-        raise BadParams("geodesic endpoints must differ")
-    dq = dist_to_q if dist_to_q is not None else c.bfs_distances(q)
-    adj = c.adjacency()
-    path: list[int] = []
-    cur = p
-    while cur != q:
-        best: tuple[int, int] | None = None
-        for v, eid in adj[cur]:
-            if dq[v] == dq[cur] - 1 and (best is None or eid < best[0]):
-                best = (eid, v)
-        path.append(best[0])
-        cur = best[1]
-    return path
 
 
 def path_vertices(c: Complex, p: int, edge_path: Sequence[int]) -> list[int]:
@@ -72,9 +50,6 @@ class GeodesicContext:
             eid for eid, wid in zip(self.edge_seq, self.wall_seq) if self.crossings[wid] == 1
         )
 
-    def position(self, eid: int) -> int:
-        return self.edge_seq.index(eid)
-
 
 def geodesic_context(c: Complex, ws: WallSystem, p: int, q: int,
                      dist_to_q: list[int] | None = None) -> GeodesicContext:
@@ -82,12 +57,6 @@ def geodesic_context(c: Complex, ws: WallSystem, p: int, q: int,
     verts = path_vertices(c, p, edges)
     walls = [ws.wall_of_edge[eid] for eid in edges]
     return GeodesicContext(c, ws, p, q, edges, verts, walls, Counter(walls))
-
-
-def single_crossing_edges(ctx: GeodesicContext) -> frozenset[int]:
-    """Edges of the geodesic whose wall meets it in exactly one edge; each
-    such wall separates the endpoints (odd crossing count)."""
-    return ctx.single_crossing
 
 
 # -- relator neighborhoods ---------------------------------------------------
@@ -236,7 +205,7 @@ def neighborhood_probe(ne: RelatorNeighborhood, ctx: GeodesicContext, lam: Fract
         raise BadParams("probe applies to edges whose wall crosses the geodesic again")
     lam = Fraction(lam)
     i, j = ne.span
-    pos = ctx.position(ne.edge)
+    pos = ctx.edge_seq.index(ne.edge)
     mate_pos = ctx.edge_seq.index(ne.mate)
     # orient: the far endpoint is the one on the mate's side
     if mate_pos > pos:
@@ -410,34 +379,24 @@ def default_region(c: Complex, ws: WallSystem) -> list[int]:
 
 
 def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) -> list[PairRow]:
-    """Per-pair geodesic/wall statistics; pure, so chunks can run anywhere."""
+    """Per-pair geodesic/wall statistics.  Consecutive pairs with the same
+    q share one BFS map, so pass pairs grouped by q."""
     rows: list[PairRow] = []
-    by_q: dict[int, list[int]] = {}
+    dq_of = None
     for p, q in pairs:
-        if q not in by_q:
-            by_q[q] = c.bfs_distances(q)
-        dq = by_q[q]
+        if dq_of != q:
+            dq, dq_of = c.bfs_distances(q), q
         d = dq[p]
         ctx = geodesic_context(c, ws, p, q, dq)
-        settled_dw = unsettled_dw = 0
-        for wid, k in ctx.crossings.items():
-            if k % 2:
-                if ws.settled[wid]:
-                    settled_dw += 1
-                else:
-                    unsettled_dw += 1
+        dw = odd_crossings(ws, ctx.crossings)
         touching = len({w for w in ctx.wall_seq if not ws.settled[w]})
         rows.append(
             PairRow(
-                p, q, d, settled_dw, Fraction(settled_dw, d), touching == 0,
-                len(ctx.single_crossing), unsettled_dw, touching,
+                p, q, d, dw.settled_count, Fraction(dw.settled_count, d), touching == 0,
+                len(ctx.single_crossing), dw.unsettled_count, touching,
             )
         )
     return rows
-
-
-def _sweep_chunk(payload: tuple[Complex, WallSystem, list[tuple[int, int]]]) -> list[PairRow]:
-    return sweep_pairs(*payload)
 
 
 def verify_linear_separation(
@@ -449,15 +408,13 @@ def verify_linear_separation(
     observe: bool = False,
     max_pairs: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> SeparationReport:
     """Compare the wall pseudo-metric against the path metric over all
     vertex pairs in the region.
 
     Pass requires every settled pair to satisfy dw <= d and dw/d at least
     the constant; unsettled-pair violations are reported inconclusive, never
-    silently passed.  Observe mode records ratios with no verdict.  Results
-    do not depend on the worker count.
+    silently passed.  Observe mode records ratios with no verdict.
     """
     lam = Fraction(lam)
     if not observe and not check_cprime(c, lam):
@@ -468,26 +425,10 @@ def verify_linear_separation(
     if max_pairs is not None and len(pairs) > max_pairs:
         rng = random.Random(seed)
         pairs = sorted(rng.sample(pairs, max_pairs))
-    # group by q so each chunk reuses its BFS maps
+    # group by q so each BFS map serves all pairs ending at q
     pairs.sort(key=lambda pq: (pq[1], pq[0]))
-    if jobs > 1 and len(pairs) > 64:
-        from concurrent.futures import ProcessPoolExecutor
-
-        qs = sorted(set(q for _, q in pairs))
-        chunk_qs = [set(qs[i::jobs]) for i in range(jobs)]
-        chunks = [
-            (c, ws, [pq for pq in pairs if pq[1] in qset])
-            for qset in chunk_qs
-            if qset
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for part in ex.map(_sweep_chunk, chunks):
-                rows.extend(part)
-        rows.sort(key=lambda r: (r.p, r.q))
-    else:
-        rows = sweep_pairs(c, ws, pairs)
-        rows.sort(key=lambda r: (r.p, r.q))
+    rows = sweep_pairs(c, ws, pairs)
+    rows.sort(key=lambda r: (r.p, r.q))
     min_ratio = min((r.ratio for r in rows), default=None)
     mean_ratio = (sum(r.ratio for r in rows) / len(rows)) if rows else None
     violations = [r for r in rows if r.settled and (r.ratio < const or r.dw > r.d)]

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from .complexes import Complex
+from .complexes import Complex, geodesic
 from .errors import BadParams, OddCell
 
 SettledPolicy = Literal["margin", "all"]
@@ -295,7 +295,6 @@ def hypercarrier_check(
     wid: int,
     *,
     strict: bool = True,
-    pairs: Iterable[tuple[int, int]] | None = None,
 ) -> ConvexityReport:
     """Geodesic convexity of the hypercarrier in the ambient 1-skeleton.
 
@@ -307,8 +306,7 @@ def hypercarrier_check(
     vs = sorted(carrier_vs)
     dist_maps = {v: c.bfs_distances(v) for v in vs}
     adj = c.adjacency()
-    if pairs is None:
-        pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
     for u, v in pairs:
         du, dv = dist_maps[u], dist_maps[v]
         D = du[v]
@@ -353,29 +351,17 @@ class WallDistance:
         return self.settled_count + self.unsettled_count
 
 
-def _bfs_path(c: Complex, p: int, q: int) -> list[int]:
-    """Edge ids of one shortest p-q path (BFS tree path)."""
-    if p == q:
-        return []
-    adj = c.adjacency()
-    prev: dict[int, tuple[int, int]] = {p: (-1, -1)}
-    q_ = deque([p])
-    while q_:
-        u = q_.popleft()
-        if u == q:
-            break
-        for v, eid in adj[u]:
-            if v not in prev:
-                prev[v] = (u, eid)
-                q_.append(v)
-    path = []
-    cur = q
-    while cur != p:
-        u, eid = prev[cur]
-        path.append(eid)
-        cur = u
-    path.reverse()
-    return path
+def odd_crossings(ws: WallSystem, crossings: Counter) -> WallDistance:
+    """Walls crossed an odd number of times by a path, given its crossing
+    count per wall, split into settled and unsettled walls."""
+    settled = unsettled = 0
+    for wid, k in crossings.items():
+        if k % 2:
+            if ws.settled[wid]:
+                settled += 1
+            else:
+                unsettled += 1
+    return WallDistance(settled, unsettled)
 
 
 def wall_distance(
@@ -385,17 +371,14 @@ def wall_distance(
     via: Literal["parity", "components"] = "parity",
 ) -> WallDistance:
     """Number of settled walls separating p from q, with unsettled walls
-    counted separately.  Parity mode counts odd crossings of one fixed
-    shortest path (valid on two-sided walls); components mode checks sides.
+    counted separately.  Parity mode counts odd crossings of the geodesic
+    (valid on two-sided walls); components mode checks sides.
     """
     if p == q:
         return WallDistance(0, 0)
     if via == "parity":
-        path = _bfs_path(ws.complex, p, q)
-        counts = Counter(ws.wall_of_edge[eid] for eid in path)
-        settled = sum(1 for wid, k in counts.items() if k % 2 and ws.settled[wid])
-        unsettled = sum(1 for wid, k in counts.items() if k % 2 and not ws.settled[wid])
-        return WallDistance(settled, unsettled)
+        path = geodesic(ws.complex, p, q)
+        return odd_crossings(ws, Counter(ws.wall_of_edge[eid] for eid in path))
     if via == "components":
         settled = unsettled = 0
         for wid in ws.wall_ids():

@@ -2,31 +2,14 @@
 
 A letter is a nonzero int: ``+(g+1)`` is generator ``g``, ``-(g+1)`` its
 formal inverse.  Generator names are a parse-time concern and never appear
-here.  Words are immutable tuples of letters, so they hash and compare fast
-and are safe to share across workers.
+here.  Words are immutable tuples of letters, so they hash and compare fast.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import EmptyRelator
-
-
-class Letter(NamedTuple):
-    """A signed generator: index into the owning generator list plus a sign."""
-
-    gen: int
-    sign: int
-
-    def encode(self) -> int:
-        return (self.gen + 1) * self.sign
-
-    @staticmethod
-    def decode(x: int) -> "Letter":
-        if x == 0:
-            raise ValueError("letter encoding must be a nonzero int")
-        return Letter(abs(x) - 1, 1 if x > 0 else -1)
 
 
 class Word(tuple):
@@ -75,9 +58,6 @@ class Word(tuple):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Word({tuple(self)!r})"
-
-
-EPSILON = Word()
 
 
 def concat(*ws: Word) -> Word:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from wallkit.cli import main
+from wallkit.cli import build_parser, main
+from wallkit.dehn import DehnMachine
+from wallkit.presentation import gen_example
 
 
 def run_cli(*args, env=None):
@@ -53,7 +55,7 @@ def test_separation_free_group(tmp_path):
     outdir = tmp_path / "out"
     rc, out, err = run_cli(
         "separation", "--family", "none", "--radius", "3",
-        "--region", "all", "--out", str(outdir), "--jobs", "1",
+        "--region", "all", "--out", str(outdir),
     )
     assert rc == 0, err
     summary = json.loads((outdir / "summary.json").read_text())
@@ -83,7 +85,7 @@ def test_separation_tv_radius8_auto_region(tmp_path):
     outdir = tmp_path / "tv8"
     rc, out, err = run_cli(
         "separation", "--family", "tv", "--I", "1,2", "--k", "7", "--radius", "8",
-        "--out", str(outdir), "--jobs", "2",
+        "--out", str(outdir),
     )
     assert rc == 0, err
     summary = json.loads((outdir / "summary.json").read_text())
@@ -124,8 +126,8 @@ def test_separation_byte_stability(tmp_path):
     )
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    rc1, *_ = run_cli(*args, "--out", str(out1), "--jobs", "1")
-    rc2, *_ = run_cli(*args, "--out", str(out2), "--jobs", "2")
+    rc1, *_ = run_cli(*args, "--out", str(out1))
+    rc2, *_ = run_cli(*args, "--out", str(out2))
     assert rc1 == rc2 == 0
     assert (out1 / "report.csv").read_text() == (out2 / "report.csv").read_text()
     assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
@@ -149,6 +151,20 @@ def test_word_budget_exit(pres_files):
     good, _, _ = pres_files
     rc, _, err = run_cli("word", "--input", str(good), "(ab)^4", env={"WALLKIT_BUDGET": "5"})
     assert rc == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("raw", ["5", " 5", "-5", "0", "abc"])
+def test_budget_env_parsed_the_same_everywhere(monkeypatch, raw):
+    monkeypatch.setenv("WALLKIT_BUDGET", raw)
+    args = build_parser().parse_args(["word", "--family", "tv", "a"])
+    assert DehnMachine(gen_example("tv", I={1}, k=7)).node_budget == args.node_budget
+
+
+def test_non_positive_budget_env_is_ignored():
+    rc, out, err = run_cli(
+        "word", "--family", "tv", "--I", "1", "--k", "7", "(ab)^4", env={"WALLKIT_BUDGET": "-5"}
+    )
+    assert rc == 0, err
 
 
 def test_separation_budget_exit(tmp_path):

@@ -22,7 +22,6 @@ from wallkit.separation import (
     report_to_csv,
     report_to_json,
     separation_constant,
-    single_crossing_edges,
     verify_linear_separation,
 )
 from wallkit.walls import build_walls, wall_distance
@@ -84,7 +83,7 @@ def test_example1_geodesic_length():
 def test_tree_all_edges_single_crossing(tree):
     ws = build_walls(tree)
     ctx = geodesic_context(tree, ws, 1, tree.nv - 1)
-    assert single_crossing_edges(ctx) == frozenset(ctx.edge_seq)
+    assert ctx.single_crossing == frozenset(ctx.edge_seq)
     assert len(ctx.single_crossing) <= wall_distance(ws, 1, tree.nv - 1).total
 
 
@@ -93,7 +92,7 @@ def test_example1_single_crossing_count():
     ws = build_walls(c)
     for n in (1, 2, 3):
         ctx = geodesic_context(c, ws, c.labeled(f"a{n}"), c.labeled(f"e{n}"))
-        A = single_crossing_edges(ctx)
+        A = ctx.single_crossing
         assert len(A) == 6
         assert len(A) <= wall_distance(ws, ctx.p, ctx.q).total
 
@@ -286,6 +285,24 @@ def test_example1_observe_ratios():
         assert row.ratio == Fraction(6, 2 * n + 6)
 
 
+@pytest.mark.parametrize(
+    "build, max_pairs",
+    [(lambda: build_example1(range(1, 6)), 3000), (lambda: build_example2(2, 14), None)],
+    ids=["example1", "example2"],
+)
+def test_sweep_dw_matches_both_wall_distance_modes(build, max_pairs):
+    # the sweep and wall_distance count crossings of the same geodesic, and
+    # the side comparison agrees with both on these two-sided walls
+    c = build()
+    ws = build_walls(c)
+    rep = verify_linear_separation(c, ws, Fraction(1, 6), observe=True, max_pairs=max_pairs)
+    assert rep.pair_count == (max_pairs or c.nv * (c.nv - 1) // 2)
+    for r in rep.rows:
+        parity = wall_distance(ws, r.p, r.q).settled_count
+        components = wall_distance(ws, r.p, r.q, via="components").settled_count
+        assert r.dw == parity == components, (r.p, r.q)
+
+
 def test_harness_requires_condition_outside_observe():
     c = build_example1([1])
     ws = build_walls(c)
@@ -315,14 +332,6 @@ def test_default_region_policies():
     t = build_cayley_ball(free, DehnMachine(free), 2)
     wst = build_walls(t)
     assert default_region(t, wst) == list(range(t.nv))
-
-
-def test_jobs_do_not_change_results(ex2):
-    c, ws = ex2
-    r1 = verify_linear_separation(c, ws, Fraction(1, 6), region=range(c.nv), jobs=1)
-    r2 = verify_linear_separation(c, ws, Fraction(1, 6), region=range(c.nv), jobs=3)
-    assert report_to_csv(r1) == report_to_csv(r2)
-    assert report_to_json(r1) == report_to_json(r2)
 
 
 def test_report_formats(ex2):

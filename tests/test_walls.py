@@ -9,6 +9,7 @@ from wallkit.complexes import (
     build_cayley_ball,
     build_example1,
     build_example2,
+    geodesic,
     subdivide,
 )
 from wallkit.dehn import DehnMachine
@@ -266,13 +267,11 @@ def test_wall_distance_bounded_by_path_metric(ex1):
 
 def test_separating_walls_meet_every_path(ex1):
     # finiteness mechanism: a separating wall cannot be disjoint from a path
-    from wallkit.walls import _bfs_path
-
     ws = build_walls(ex1)
     rng = random.Random(8)
     for _ in range(20):
         p, q = rng.sample(range(ex1.nv), 2)
-        path_walls = {ws.wall_of_edge[eid] for eid in _bfs_path(ex1, p, q)}
+        path_walls = {ws.wall_of_edge[eid] for eid in geodesic(ex1, p, q)}
         for wid in ws.wall_ids():
             if separates(ws, wid, p, q):
                 assert wid in path_walls

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from wallkit.errors import EmptyRelator
 from wallkit.words import (
-    Letter,
     Word,
     concat,
     cyclic_reduce,
@@ -15,14 +14,6 @@ from wallkit.words import (
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=40).map(Word)
-
-
-def test_letter_roundtrip():
-    assert Letter.decode(3) == Letter(2, 1)
-    assert Letter.decode(-1) == Letter(0, -1)
-    assert Letter(1, -1).encode() == -2
-    with pytest.raises(ValueError):
-        Letter.decode(0)
 
 
 def test_free_reduce_examples():
