@@ -241,33 +241,12 @@ class PieceIndex:
     worst_by_relator: dict[int, Piece | None]
 
 
-def _diagonal_runs(v1: Word, v2: Word, d: int, cap: int) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of agreement between v1[t] and v2[t+d].
+_AGREEMENT = re.compile(rb"\x00+")
 
-    Returns (start t, length) pairs with length capped at cap; a full-cycle
-    agreement is reported as the single run (0, cap).
-    """
-    n1, n2 = len(v1), len(v2)
-    L = math.lcm(n1, n2)
-    match = [v1[t % n1] == v2[(t + d) % n2] for t in range(L)]
-    if all(match):
-        return [(0, cap)]
-    if not any(match):
-        return []
-    shift = match.index(False)
-    rot = match[shift + 1:] + match[: shift + 1]  # starts right after a False
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < L:
-        if rot[i]:
-            j = i
-            while j < L and rot[j]:
-                j += 1
-            runs.append(((shift + 1 + i) % L, min(j - i, cap)))
-            i = j
-        else:
-            i += 1
-    return runs
+
+def _byte_planes(v: Word, code: dict[int, int], n_planes: int) -> list[bytes]:
+    """v over the dense letter code, one byte string per 8 bits of the code."""
+    return [bytes((code[x] >> (8 * k)) & 0xFF for x in v) for k in range(n_planes)]
 
 
 def compute_pieces(p: Presentation) -> PieceIndex:
@@ -277,27 +256,59 @@ def compute_pieces(p: Presentation) -> PieceIndex:
     modulo the relator's rotational symmetry (shift by its primitive period).
     Pieces are reported in one orientation (their inverses occur in the
     mirrored witnesses); lengths are capped at the shorter witness relator.
-    """
-    found: dict[tuple, Piece] = {}
 
-    def record(word: Word, occ1: Occurrence, occ2: Occurrence):
-        pair = tuple(sorted((occ1, occ2)))
-        key = (word, pair)
-        if key not in found:
-            found[key] = Piece(word, pair)  # type: ignore[arg-type]
+    Each diagonal d pairs v1[t] with v2[t+d] for t over lcm(|v1|, |v2|)
+    positions.  Both streams are coded as bytes; the XOR of the two as big
+    ints is zero exactly where they agree, so a regex over its bytes reads
+    off the maximal agreement runs.
+    """
+    alphabet = sorted({s * x for r in p.relators for x in r for s in (1, -1)})
+    code = {x: c for c, x in enumerate(alphabet)}
+    n_planes = max(1, ((len(alphabet) - 1).bit_length() + 7) >> 3)
+    # (witness pair, length) -> (-length, word, witness pair): the values
+    # sort into the reported piece order.
+    found: dict[tuple, tuple] = {}
 
     def scan(rid1: int, v1: Word, per1: int, o1: int, rid2: int, v2: Word, per2: int, o2: int):
         same_stream = rid1 == rid2 and o1 == o2
-        cap = min(len(v1), len(v2))
-        n_diag = per1 if same_stream or rid1 == rid2 else math.gcd(per1, per2)
-        for d in range(n_diag):
-            if same_stream and d == 0:
-                continue  # rotation of the relator onto itself
-            for t, length in _diagonal_runs(v1, v2, d, cap):
-                word = Word(v1[(t + k) % len(v1)] for k in range(length))
+        n1, n2 = len(v1), len(v2)
+        cap = min(n1, n2)
+        L = math.lcm(n1, n2)
+        if same_stream:
+            # Diagonal per1 - d is diagonal d shifted by d: the same runs with
+            # their witnesses swapped.  Diagonal 0 is the relator's rotation
+            # onto itself.
+            diagonals = range(1, per1 // 2 + 1)
+        else:
+            diagonals = range(per1 if rid1 == rid2 else math.gcd(per1, per2))
+        doubled1 = v1 + v1
+        ints1 = [int.from_bytes(b * (L // n1), "big") for b in _byte_planes(v1, code, n_planes)]
+        doubled2 = [b + b for b in _byte_planes(v2, code, n_planes)]
+        for d in diagonals:
+            diff = 0
+            for a, b in zip(ints1, doubled2):
+                diff |= a ^ int.from_bytes(b[d:d + n2] * (L // n2), "big")
+            if diff == 0:
+                runs = [(0, cap)]  # the streams agree all the way round
+            else:
+                # Rotate to start at the first disagreement, so a run
+                # wrapping round the end of the cycle is read as one.
+                cut = L - ((diff.bit_length() + 7) >> 3)
+                mism = diff.to_bytes(L, "big")
+                runs = [
+                    ((cut + m.start()) % L, min(m.end() - m.start(), cap))
+                    for m in _AGREEMENT.finditer(mism[cut:] + mism[:cut])
+                ]
+            for t, length in runs:
                 occ1 = (rid1, o1, t % per1)
                 occ2 = (rid2, o2, (t + d) % per2)
-                record(word, occ1, occ2)
+                pair = (occ1, occ2) if occ1 <= occ2 else (occ2, occ1)
+                # The pair and the length fix the word: it starts at pair[0].
+                if (pair, length) not in found:
+                    s = t % n1
+                    # A slice of a Word holds valid letters: skip re-validation.
+                    word = tuple.__new__(Word, doubled1[s:s + length])
+                    found[pair, length] = (-length, word, pair)
 
     rels = [(rid, r, r.primitive_period()) for rid, r in enumerate(p.relators)]
     for i, (rid1, r1, per1) in enumerate(rels):
@@ -307,7 +318,9 @@ def compute_pieces(p: Presentation) -> PieceIndex:
             scan(rid1, r1, per1, 1, rid2, r2, per2, 1)
             scan(rid1, r1, per1, 1, rid2, r2.inverse(), per2, -1)
 
-    pieces = tuple(sorted(found.values(), key=lambda pc: (-pc.length, pc.word, pc.witnesses)))
+    rows = sorted(found.values())
+    found.clear()  # drop the keys before the Piece objects are built
+    pieces = tuple(Piece(word, pair) for _, word, pair in rows)
     max_by: dict[int, int] = {rid: 0 for rid in range(len(p.relators))}
     worst: dict[int, Piece | None] = {rid: None for rid in range(len(p.relators))}
     for pc in pieces:

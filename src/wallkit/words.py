@@ -83,12 +83,12 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     The core is empty iff w freely reduces to the empty word.
     """
-    core = free_reduce(w)
-    prefix: list[int] = []
-    while len(core) >= 2 and core[0] == -core[-1]:
-        prefix.append(core[0])
-        core = Word(core[1:-1])
-    return core, Word(prefix)
+    reduced = free_reduce(w)
+    n = len(reduced)
+    depth = 0
+    while n - 2 * depth >= 2 and reduced[depth] == -reduced[n - 1 - depth]:
+        depth += 1
+    return Word(reduced[depth:n - depth]), Word(reduced[:depth])
 
 
 def symmetrize(relators: Iterable[Word]) -> frozenset[Word]:
@@ -106,12 +106,31 @@ def symmetrize(relators: Iterable[Word]) -> frozenset[Word]:
     return frozenset(out)
 
 
+def _least_rotation(w: Word) -> int:
+    """Start of the lexicographically least rotation of w (Booth 1980), in O(|w|)."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:  # here i == -1
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def cyclic_word_key(w: Word) -> Word:
     """Canonical representative of w's class under shift and inversion."""
-    best = min(w.cyclic_shifts(), default=w)
     inv = w.inverse()
-    best_inv = min(inv.cyclic_shifts(), default=inv)
-    return min(best, best_inv)
+    return min(w.cyclic_shift(_least_rotation(w)), inv.cyclic_shift(_least_rotation(inv)))
 
 
 def render(w: Word, names: list[str] | tuple[str, ...]) -> str:

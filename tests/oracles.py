@@ -6,10 +6,22 @@ library's piece/wall machinery beyond the Word container.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from wallkit.presentation import Presentation
+from wallkit.presentation import Piece, PieceIndex, Presentation
 from wallkit.words import Word
+
+
+# -- cyclic word keys ------------------------------------------------------------
+
+
+def rotation_min_key(w: Word) -> Word:
+    """Least of all rotations of w and of its inverse, found by trying each one."""
+    best = min(w.cyclic_shifts(), default=w)
+    inv = w.inverse()
+    best_inv = min(inv.cyclic_shifts(), default=inv)
+    return min(best, best_inv)
 
 
 # -- word-level pieces ---------------------------------------------------------
@@ -69,6 +81,81 @@ def brute_force_pieces(p: Presentation) -> tuple[set[tuple], dict[int, int]]:
                     for rid in (rid1, rid2):
                         max_by[rid] = max(max_by[rid], length)
     return words, max_by
+
+
+def _diagonal_runs(v1: Word, v2: Word, d: int, cap: int) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of agreement between v1[t] and v2[t+d].
+
+    Returns (start t, length) pairs with length capped at cap; a full-cycle
+    agreement is reported as the single run (0, cap).
+    """
+    n1, n2 = len(v1), len(v2)
+    L = math.lcm(n1, n2)
+    match = [v1[t % n1] == v2[(t + d) % n2] for t in range(L)]
+    if all(match):
+        return [(0, cap)]
+    if not any(match):
+        return []
+    shift = match.index(False)
+    rot = match[shift + 1:] + match[: shift + 1]  # starts right after a False
+    runs: list[tuple[int, int]] = []
+    i = 0
+    while i < L:
+        if rot[i]:
+            j = i
+            while j < L and rot[j]:
+                j += 1
+            runs.append(((shift + 1 + i) % L, min(j - i, cap)))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+def diagonal_scan_pieces(p: Presentation) -> PieceIndex:
+    """The full PieceIndex, agreement runs read letter by letter per diagonal.
+
+    Scans every diagonal, both halves of a relator against itself included,
+    and compares letters in a Python loop: an exact oracle for the byte-coded
+    scan in ``compute_pieces``.
+    """
+    found: dict[tuple, Piece] = {}
+
+    def record(word: Word, occ1, occ2):
+        pair = tuple(sorted((occ1, occ2)))
+        key = (word, pair)
+        if key not in found:
+            found[key] = Piece(word, pair)
+
+    def scan(rid1, v1, per1, o1, rid2, v2, per2, o2):
+        same_stream = rid1 == rid2 and o1 == o2
+        cap = min(len(v1), len(v2))
+        n_diag = per1 if same_stream or rid1 == rid2 else math.gcd(per1, per2)
+        for d in range(n_diag):
+            if same_stream and d == 0:
+                continue
+            for t, length in _diagonal_runs(v1, v2, d, cap):
+                word = Word(v1[(t + k) % len(v1)] for k in range(length))
+                record(word, (rid1, o1, t % per1), (rid2, o2, (t + d) % per2))
+
+    rels = [(rid, r, r.primitive_period()) for rid, r in enumerate(p.relators)]
+    for i, (rid1, r1, per1) in enumerate(rels):
+        scan(rid1, r1, per1, 1, rid1, r1, per1, 1)
+        scan(rid1, r1, per1, 1, rid1, r1.inverse(), per1, -1)
+        for rid2, r2, per2 in rels[i + 1:]:
+            scan(rid1, r1, per1, 1, rid2, r2, per2, 1)
+            scan(rid1, r1, per1, 1, rid2, r2.inverse(), per2, -1)
+
+    pieces = tuple(sorted(found.values(), key=lambda pc: (-pc.length, pc.word, pc.witnesses)))
+    max_by = {rid: 0 for rid in range(len(p.relators))}
+    worst: dict = {rid: None for rid in range(len(p.relators))}
+    for pc in pieces:
+        for rid, _, _ in pc.witnesses:
+            if pc.length > max_by[rid]:
+                max_by[rid] = pc.length
+                worst[rid] = pc
+    ratio = {rid: Fraction(max_by[rid], len(p.relators[rid])) for rid in max_by}
+    return PieceIndex(pieces, max_by, ratio, worst)
 
 
 def brute_force_cprime(p: Presentation, lam: Fraction) -> bool:

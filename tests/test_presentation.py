@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_pieces
+from oracles import brute_force_pieces, diagonal_scan_pieces
 from wallkit.errors import BadParams, EmptyRelator, ParseError, UnknownGenerator
 from wallkit.presentation import (
     Presentation,
@@ -159,6 +159,80 @@ def test_pieces_match_brute_force_random(seed):
     idx = compute_pieces(p)
     _, oracle_max = brute_force_pieces(p)
     assert idx.max_by_relator == oracle_max
+
+
+DEMO_01 = """
+    # two relators sharing short alternating blocks
+    gens: a b
+    rel: (ab)^7
+    rel: (aabb)^7
+"""
+
+
+def _many_letter_presentation() -> Presentation:
+    """130 generators (260 letters, so a two-byte letter code) with shared blocks."""
+    rng = random.Random(130)
+    letters = [x for g in range(1, 131) for x in (g, -g)]
+    rng.shuffle(letters)
+    shared = [Word(rng.choice(letters) for _ in range(rng.randint(2, 9))) for _ in range(12)]
+    gens = [rng.choice((g, -g)) for g in range(1, 131)]
+    rng.shuffle(gens)
+    rels = []
+    for i in range(3):
+        # Together the relators use every generator once outside the blocks.
+        parts = [rng.choice(shared) for _ in range(6)] + [Word(gens[i::3])]
+        rng.shuffle(parts)
+        core, _ = cyclic_reduce(Word(x for part in parts for x in part))
+        rels.append(core)
+    return Presentation(tuple(f"g{i}" for i in range(130)), tuple(rels))
+
+
+def test_many_letter_presentation_needs_two_code_bytes():
+    p = _many_letter_presentation()
+    assert len({s * x for r in p.relators for x in r for s in (1, -1)}) > 255
+    assert len(compute_pieces(p).pieces) > 0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        tv({1}, 7),
+        tv({1, 2}, 7),
+        tv({1, 2, 3}, 7),
+        tv({1, 2}, 6),
+        gen_example("pride", n_max=1),
+        gen_example("pride", n_max=2),
+        gen_example("pride", n_max=3),
+        gen_example("rips", j_max=1, scale=16),
+        parse_presentation(DEMO_01),
+        parse_presentation("gens: a b\nrel: (ab)^2\nrel: (ab)^3\n"),
+        _many_letter_presentation(),
+    ],
+    ids=["tv1", "tv12", "tv123", "tv12k6", "pride1", "pride2", "pride3", "rips16", "demo01",
+         "ab2ab3", "130gens"],
+)
+def test_pieces_equal_diagonal_scan_oracle(p):
+    assert compute_pieces(p) == diagonal_scan_pieces(p)
+
+
+_powered_relators = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), min_size=1, max_size=7),
+        st.integers(min_value=1, max_value=3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_powered_relators)
+def test_pieces_equal_diagonal_scan_oracle_random(relators):
+    rels = [core for core, _ in (cyclic_reduce(Word(base * k)) for base, k in relators) if core]
+    if not rels:
+        return
+    p = Presentation(("a", "b", "c"), tuple(rels))
+    assert compute_pieces(p) == diagonal_scan_pieces(p)
 
 
 # -- metric condition -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import rotation_min_key
 from wallkit.errors import EmptyRelator
 from wallkit.words import (
     Word,
@@ -38,6 +39,13 @@ def test_cyclic_reduce_recomposition(w):
     recomposed = free_reduce(concat(conj, core, conj.inverse()))
     assert recomposed == free_reduce(w)
     assert (len(core) == 0) == (len(free_reduce(w)) == 0)
+
+
+def test_cyclic_reduce_deep_conjugate():
+    conj = Word((2, 3) * 10_000)
+    core, found = cyclic_reduce(concat(conj, Word((1, 1)), conj.inverse()))
+    assert core == Word((1, 1))
+    assert found == conj and len(found) == 20_000
 
 
 def test_cyclic_reduce_examples():
@@ -84,3 +92,9 @@ def test_render():
     assert render(Word(), names) == "1"
     assert render(Word((1, 1, -2)), names) == "a^2b^-1"
     assert render(Word((1, 2)), ("a1", "x")) == "a1 x"
+
+
+@given(st.lists(letters, max_size=12), st.integers(min_value=1, max_value=4))
+def test_cyclic_word_key_matches_rotation_min_oracle(base, power):
+    w = Word(base * power)  # proper powers when power > 1; empty when base is
+    assert cyclic_word_key(w) == rotation_min_key(w)
