@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial
 from .errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
-from .presentation import Presentation
+from .presentation import Presentation, piece_index
 from .words import Word, free_reduce
 
 Token = tuple[int, int]  # (edge id, direction: +1 traverses stored u->v)
@@ -86,6 +86,8 @@ class Complex:
         return dist
 
     def validate(self) -> None:
+        if self.nv < 0:
+            raise ParseError(f"vertex count {self.nv} is negative")
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.nv and 0 <= v < self.nv):
                 raise ParseError(f"edge {eid} endpoint out of range")
@@ -93,9 +95,14 @@ class Complex:
         for cid, cell in enumerate(self.cells):
             if not cell:
                 raise ParseError(f"cell {cid} is empty")
+            if any(not 0 <= eid < len(self.edges) for eid, _ in cell):
+                raise ParseError(f"cell {cid} names an edge outside 0..{len(self.edges) - 1}")
             for i, tok in enumerate(cell):
+                nxt = cell[(i + 1) % len(cell)]
+                if nxt == (tok[0], -tok[1]):
+                    raise ParseError(f"cell {cid} boundary backtracks along edge {tok[0]}")
                 _, head = self.edge_ends(tok)
-                tail_next, _ = self.edge_ends(cell[(i + 1) % len(cell)])
+                tail_next, _ = self.edge_ends(nxt)
                 if head != tail_next:
                     raise ParseError(f"cell {cid} boundary is not a closed edge path")
             key = self.cell_edge_set(cid)
@@ -437,8 +444,11 @@ def build_cayley_ball(
                 return v
         return None
 
+    # The last pass (level == radius) adds no vertex: it only closes edges
+    # among the boundary vertices, and a move that meets no vertex leaves
+    # the ball.
     frontier = [0]
-    for level in range(radius):
+    for level in range(radius + 1):
         nxt: list[int] = []
         for u in frontier:
             wu = verts[u]
@@ -456,6 +466,8 @@ def build_cayley_ball(
                 reduced = dehn_reduce(cand, m) if not is_free else cand
                 v = identify(reduced, states, ab)
                 if v is None:
+                    if level == radius:
+                        continue
                     if len(verts) >= vertex_budget:
                         raise BudgetExceeded(f"vertex budget {vertex_budget} exhausted at radius {level + 1}")
                     v = len(verts)
@@ -469,20 +481,6 @@ def build_cayley_ball(
                     nxt.append(v)
                 add_edge(u, x, v)
         frontier = nxt
-    # close edges among boundary vertices (moves that stay inside the ball)
-    for u in frontier:
-        wu = verts[u]
-        for x in letters:
-            if wu and wu[-1] == -x:
-                add_edge(u, x, vid_of[Word(wu[:-1])])
-                continue
-            cand = Word(tuple(wu) + (x,))
-            states = hom_step(hom_states[u], x)
-            ab = list(ab_vecs[u])
-            ab[abs(x) - 1] += 1 if x > 0 else -1
-            v = identify(dehn_reduce(cand, m) if not is_free else cand, states, tuple(ab))
-            if v is not None:
-                add_edge(u, x, v)
 
     # attach relator cells whose whole boundary lies in the ball
     out_map: dict[tuple[int, int], tuple[int, int]] = {}
@@ -574,109 +572,35 @@ class CellPiece:
         return len(self.path)
 
 
-def _cell_symmetries(cell: tuple[Token, ...]) -> tuple[int, list[int]]:
-    """(rotation period, reflection offsets) of the attached boundary cycle.
-
-    A reflection with offset c maps slot i to slot (c - i) and flips edge
-    direction; it is a symmetry iff cell[(c - i) % L] == flip(cell[i]) for
-    all i.  Embedded boundary cycles have no reflections.
-    """
-    L = len(cell)
-    per = L
-    for d in range(1, L + 1):
-        if L % d == 0 and all(cell[(i + d) % L] == cell[i] for i in range(L)):
-            per = d
-            break
-    refl = [
-        c
-        for c in range(L)
-        if all(cell[(c - i) % L] == (cell[i][0], -cell[i][1]) for i in range(L))
-    ]
-    return per, refl
-
-
-def _equivalent_occurrences(cell: tuple[Token, ...], per: int, refl: list[int],
-                            o1: tuple[int, bool], o2: tuple[int, bool], length: int) -> bool:
-    """Whether a symmetry of the cell maps occurrence o1 to o2."""
-    L = len(cell)
-    s1, f1 = o1
-    s2, f2 = o2
-    if f1 == f2:
-        return (s1 - s2) % per == 0
-    # reflection c maps slot i -> (c - i) and flips direction; the slot
-    # interval [s, s+len) maps to [(c - s - len + 1), ...).
-    for c in refl:
-        if (c - s1 - length + 1) % L == s2 % L:
-            return True
-    return False
-
-
 def compute_cell_pieces(c: Complex) -> list[CellPiece]:
     """Maximal common boundary subpaths over pairs of cells (including a cell
-    with itself at offsets not related by a symmetry of its attaching map)."""
-    incid: dict[int, list[tuple[int, int]]] = {}
-    for cid, cell in enumerate(c.cells):
-        for slot, (eid, _) in enumerate(cell):
-            incid.setdefault(eid, []).append((cid, slot))
-    sym = [_cell_symmetries(cell) for cell in c.cells]
-    found: dict[tuple, CellPiece] = {}
+    with itself at offsets not related by a rotation of its boundary).
 
-    def tok(cid: int, i: int) -> Token:
-        cell = c.cells[cid]
-        return cell[i % len(cell)]
-
-    def flip(t: Token) -> Token:
-        return (t[0], -t[1])
-
-    for eid, places in incid.items():
-        for ia in range(len(places)):
-            cid1, s1 = places[ia]
-            for ib in range(ia, len(places)):
-                cid2, s2 = places[ib]
-                if cid1 == cid2 and s1 == s2:
-                    continue
-                L1, L2 = len(c.cells[cid1]), len(c.cells[cid2])
-                cap = min(L1, L2)
-                d1 = tok(cid1, s1)[1]
-                d2 = tok(cid2, s2)[1]
-                parallel = (tok(cid1, s1) == tok(cid2, s2))
-                if not parallel and tok(cid1, s1) != flip(tok(cid2, s2)):
-                    continue  # same edge id, incompatible? cannot happen
-                # extend to the maximal run through the anchor
-                left = 0
-                right = 1
-                if parallel:
-                    while right - (-left) < cap and tok(cid1, s1 + right) == tok(cid2, s2 + right):
-                        right += 1
-                    while right + left < cap and tok(cid1, s1 - left - 1) == tok(cid2, s2 - left - 1):
-                        left += 1
-                else:
-                    while right + left < cap and tok(cid1, s1 + right) == flip(tok(cid2, s2 - right)):
-                        right += 1
-                    while right + left < cap and tok(cid1, s1 - left - 1) == flip(tok(cid2, s2 + left + 1)):
-                        left += 1
-                length = left + right
-                f1 = (s1 - left) % L1
-                if parallel:
-                    f2 = (s2 - left) % L2
-                else:
-                    f2 = (s2 - right + 1) % L2
-                occ1 = (f1, True)
-                occ2 = (f2, parallel)
-                if cid1 == cid2:
-                    per, refl = sym[cid1]
-                    if _equivalent_occurrences(c.cells[cid1], per, refl, occ1, occ2, length):
-                        continue
-                key = tuple(sorted(((cid1,) + occ1, (cid2,) + occ2))) + (length,)
-                if key in found:
-                    continue
-                path = tuple(tok(cid1, f1 + k) for k in range(length))
-                found[key] = CellPiece(
-                    path,
-                    CellOccurrence(cid1, f1, length, True),
-                    CellOccurrence(cid2, f2, length, parallel),
-                )
-    return sorted(found.values(), key=lambda pc: (-pc.length, pc.occ1.cell, pc.occ1.start))
+    A cell boundary read as a cyclic word over the edge letters
+    ``(eid+1)*d`` is a relator over the edges, and a common boundary path of
+    two cells is exactly a piece of those words (Lyndon-Schupp, Ch. V), so
+    the presentation piece engine finds them.  Its witnesses hold starts
+    modulo the boundary's period; each is expanded over the rotations.
+    """
+    words = [Word((eid + 1) * d for eid, d in cell) for cell in c.cells]
+    out: list[CellPiece] = []
+    for pc in piece_index(words).pieces:
+        n = pc.length
+        fwd, other = pc.witnesses if pc.witnesses[0][1] > 0 else pc.witnesses[::-1]
+        starts = []
+        for cid, o, s in (fwd, other):
+            L = len(words[cid])
+            rotations = range(s, L, words[cid].primitive_period())
+            # An inverse-orientation start counts slots from the far end.
+            starts.append(list(rotations) if o > 0 else [(L - t - n) % L for t in rotations])
+        cell1 = c.cells[fwd[0]]
+        for s1 in starts[0]:
+            path = tuple(cell1[(s1 + k) % len(cell1)] for k in range(n))
+            occ1 = CellOccurrence(fwd[0], s1, n, True)
+            for s2 in starts[1]:
+                out.append(CellPiece(path, occ1, CellOccurrence(other[0], s2, n, other[1] > 0)))
+    out.sort(key=lambda pc: (-pc.length, pc.occ1.cell, pc.occ1.start, pc.occ2.cell, pc.occ2.start, pc.occ2.forward))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +762,16 @@ def save_complex(c: Complex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str, fields: Sequence[str], count: int) -> list[int]:
+    """The first ``count`` fields of a file line, as integers."""
+    if len(fields) < count:
+        raise ParseError(f"line {line!r} is missing fields")
+    try:
+        return [int(t) for t in fields[:count]]
+    except ValueError:
+        raise ParseError(f"line {line!r} has a non-integer field") from None
+
+
 def load_complex(text: str) -> Complex:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("wallkit-complex"):
@@ -850,7 +784,7 @@ def load_complex(text: str) -> Complex:
         idx += 1
     if idx >= len(lines) or not lines[idx].startswith("counts "):
         raise ParseError("missing counts line")
-    nv, ne, nc = (int(t) for t in lines[idx].split()[1:4])
+    nv, ne, nc = _ints(lines[idx], lines[idx].split()[1:], 3)
     idx += 1
     gens = tuple(meta.get("gens", "").split()) if meta.get("gens") else ()
     gen_index = {name: i for i, name in enumerate(gens)}
@@ -862,20 +796,19 @@ def load_complex(text: str) -> Complex:
         parts = ln.split()
         if parts[0] == "v":
             if len(parts) > 2:
-                labels[int(parts[1])] = parts[2]
+                labels[_ints(ln, parts[1:], 1)[0]] = parts[2]
         elif parts[0] == "e":
-            eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+            eid, u, v = _ints(ln, parts[1:], 3)
             if eid != len(edges):
                 raise ParseError("edge ids must be consecutive")
             edges.append((u, v))
             if len(parts) > 4:
+                if parts[4] not in gen_index:
+                    raise ParseError(f"line {ln!r} names an unknown generator")
                 edge_gens[eid] = gen_index[parts[4]]
         elif parts[0] == "c":
-            toks = []
-            for t in parts[2:]:
-                val = int(t)
-                toks.append((abs(val) - 1, 1 if val > 0 else -1))
-            cells.append(tuple(toks))
+            vals = _ints(ln, parts[1:], max(1, len(parts) - 1))
+            cells.append(tuple((abs(val) - 1, 1 if val > 0 else -1) for val in vals[1:]))
         else:
             raise ParseError(f"bad line {ln!r}")
     if len(edges) != ne or len(cells) != nc:
@@ -887,8 +820,8 @@ def load_complex(text: str) -> Complex:
         labels,
         edge_gens,
         origin=meta.get("origin", "file"),
-        radius=int(meta["radius"]) if "radius" in meta else None,
-        base=int(meta["base"]) if "base" in meta else None,
+        radius=_ints("meta radius", [meta["radius"]], 1)[0] if "radius" in meta else None,
+        base=_ints("meta base", [meta["base"]], 1)[0] if "base" in meta else None,
         subdivided=meta.get("subdivided") == "1",
         generator_names=gens,
     )

@@ -250,19 +250,28 @@ def _byte_planes(v: Word, code: dict[int, int], n_planes: int) -> list[bytes]:
 
 
 def compute_pieces(p: Presentation) -> PieceIndex:
+    """All maximal pieces of the relators; see ``piece_index``."""
+    return piece_index(p.relators)
+
+
+def piece_index(words: Sequence[Word]) -> PieceIndex:
     """All maximal pieces with witnesses, excluding isomorphic occurrence pairs.
 
-    Occurrence pairs within one relator and orientation are distinct only
-    modulo the relator's rotational symmetry (shift by its primitive period).
-    Pieces are reported in one orientation (their inverses occur in the
-    mirrored witnesses); lengths are capped at the shorter witness relator.
+    ``words`` are cyclic words: relators, or cell boundaries read as words
+    over edge letters.  Occurrence pairs within one word and orientation are
+    distinct only modulo the word's rotational symmetry (shift by its
+    primitive period).  Pieces are reported in one orientation (their
+    inverses occur in the mirrored witnesses); lengths are capped at the
+    shorter witness word, and a longer common run yields every capped window.
 
     Each diagonal d pairs v1[t] with v2[t+d] for t over lcm(|v1|, |v2|)
     positions.  Both streams are coded as bytes; the XOR of the two as big
     ints is zero exactly where they agree, so a regex over its bytes reads
-    off the maximal agreement runs.
+    off the maximal agreement runs.  Two streams are scanned only if some
+    letter, up to sign, occurs in both at distinct positions: no piece can
+    lie anywhere else.
     """
-    alphabet = sorted({s * x for r in p.relators for x in r for s in (1, -1)})
+    alphabet = sorted({s * x for r in words for x in r for s in (1, -1)})
     code = {x: c for c, x in enumerate(alphabet)}
     n_planes = max(1, ((len(alphabet) - 1).bit_length() + 7) >> 3)
     # (witness pair, length) -> (-length, word, witness pair): the values
@@ -276,7 +285,7 @@ def compute_pieces(p: Presentation) -> PieceIndex:
         L = math.lcm(n1, n2)
         if same_stream:
             # Diagonal per1 - d is diagonal d shifted by d: the same runs with
-            # their witnesses swapped.  Diagonal 0 is the relator's rotation
+            # their witnesses swapped.  Diagonal 0 is the word's rotation
             # onto itself.
             diagonals = range(1, per1 // 2 + 1)
         else:
@@ -289,47 +298,58 @@ def compute_pieces(p: Presentation) -> PieceIndex:
             for a, b in zip(ints1, doubled2):
                 diff |= a ^ int.from_bytes(b[d:d + n2] * (L // n2), "big")
             if diff == 0:
-                runs = [(0, cap)]  # the streams agree all the way round
+                # The streams agree all the way round: every start is a window.
+                runs = [(0, L + cap - 1)]
             else:
                 # Rotate to start at the first disagreement, so a run
                 # wrapping round the end of the cycle is read as one.
                 cut = L - ((diff.bit_length() + 7) >> 3)
                 mism = diff.to_bytes(L, "big")
                 runs = [
-                    ((cut + m.start()) % L, min(m.end() - m.start(), cap))
+                    ((cut + m.start()) % L, m.end() - m.start())
                     for m in _AGREEMENT.finditer(mism[cut:] + mism[:cut])
                 ]
-            for t, length in runs:
-                occ1 = (rid1, o1, t % per1)
-                occ2 = (rid2, o2, (t + d) % per2)
-                pair = (occ1, occ2) if occ1 <= occ2 else (occ2, occ1)
-                # The pair and the length fix the word: it starts at pair[0].
-                if (pair, length) not in found:
-                    s = t % n1
-                    # A slice of a Word holds valid letters: skip re-validation.
-                    word = tuple.__new__(Word, doubled1[s:s + length])
-                    found[pair, length] = (-length, word, pair)
+            for start, run in runs:
+                length = min(run, cap)
+                for t in range(start, start + run - length + 1):
+                    occ1 = (rid1, o1, t % per1)
+                    occ2 = (rid2, o2, (t + d) % per2)
+                    pair = (occ1, occ2) if occ1 <= occ2 else (occ2, occ1)
+                    # The pair and the length fix the word: it starts at pair[0].
+                    if (pair, length) not in found:
+                        s = t % n1
+                        # A slice of a Word holds valid letters: skip re-validation.
+                        word = tuple.__new__(Word, doubled1[s:s + length])
+                        found[pair, length] = (-length, word, pair)
 
-    rels = [(rid, r, r.primitive_period()) for rid, r in enumerate(p.relators)]
-    for i, (rid1, r1, per1) in enumerate(rels):
-        scan(rid1, r1, per1, 1, rid1, r1, per1, 1)
-        scan(rid1, r1, per1, 1, rid1, r1.inverse(), per1, -1)
-        for rid2, r2, per2 in rels[i + 1:]:
+    periods = [r.primitive_period() for r in words]
+    letters = [{abs(x) for x in r} for r in words]
+    users: dict[int, list[int]] = {}
+    for rid, used in enumerate(letters):
+        for x in used:
+            users.setdefault(x, []).append(rid)
+    for rid1, r1 in enumerate(words):
+        per1 = periods[rid1]
+        if len(letters[rid1]) < len(r1):  # some letter repeats, up to sign
+            scan(rid1, r1, per1, 1, rid1, r1, per1, 1)
+            scan(rid1, r1, per1, 1, rid1, r1.inverse(), per1, -1)
+        for rid2 in {rid2 for x in letters[rid1] for rid2 in users[x] if rid2 > rid1}:
+            r2, per2 = words[rid2], periods[rid2]
             scan(rid1, r1, per1, 1, rid2, r2, per2, 1)
             scan(rid1, r1, per1, 1, rid2, r2.inverse(), per2, -1)
 
     rows = sorted(found.values())
     found.clear()  # drop the keys before the Piece objects are built
     pieces = tuple(Piece(word, pair) for _, word, pair in rows)
-    max_by: dict[int, int] = {rid: 0 for rid in range(len(p.relators))}
-    worst: dict[int, Piece | None] = {rid: None for rid in range(len(p.relators))}
+    max_by: dict[int, int] = {rid: 0 for rid in range(len(words))}
+    worst: dict[int, Piece | None] = {rid: None for rid in range(len(words))}
     for pc in pieces:
         for rid, _, _ in pc.witnesses:
             if pc.length > max_by[rid]:
                 max_by[rid] = pc.length
                 worst[rid] = pc
     ratio = {
-        rid: Fraction(max_by[rid], len(p.relators[rid])) for rid in max_by
+        rid: Fraction(max_by[rid], len(words[rid])) for rid in max_by
     }
     return PieceIndex(pieces, max_by, ratio, worst)
 

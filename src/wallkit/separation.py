@@ -387,13 +387,16 @@ def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) ->
         if dq_of != q:
             dq, dq_of = c.bfs_distances(q), q
         d = dq[p]
-        ctx = geodesic_context(c, ws, p, q, dq)
-        dw = odd_crossings(ws, ctx.crossings)
-        touching = len({w for w in ctx.wall_seq if not ws.settled[w]})
+        crossings = Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q, dq))
+        dw = odd_crossings(ws, crossings)
+        touching = sum(1 for w in crossings if not ws.settled[w])
+        # A geodesic repeats no edge, so each wall crossed once marks one
+        # single-crossing edge.
+        single = sum(1 for k in crossings.values() if k == 1)
         rows.append(
             PairRow(
                 p, q, d, dw.settled_count, Fraction(dw.settled_count, d), touching == 0,
-                len(ctx.single_crossing), dw.unsettled_count, touching,
+                single, dw.unsettled_count, touching,
             )
         )
     return rows
@@ -417,6 +420,8 @@ def verify_linear_separation(
     silently passed.  Observe mode records ratios with no verdict.
     """
     lam = Fraction(lam)
+    if max_pairs is not None and max_pairs < 1:
+        raise BadParams(f"max_pairs must be >= 1, got {max_pairs}")
     if not observe and not check_cprime(c, lam):
         raise NotSmallCancellation(f"complex fails the strict {lam} piece condition")
     const = separation_constant(lam)

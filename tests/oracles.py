@@ -86,14 +86,15 @@ def brute_force_pieces(p: Presentation) -> tuple[set[tuple], dict[int, int]]:
 def _diagonal_runs(v1: Word, v2: Word, d: int, cap: int) -> list[tuple[int, int]]:
     """Maximal cyclic runs of agreement between v1[t] and v2[t+d].
 
-    Returns (start t, length) pairs with length capped at cap; a full-cycle
-    agreement is reported as the single run (0, cap).
+    Returns (start t, length) pairs with length capped at cap: a run longer
+    than cap gives each of its windows of length cap, and a full-cycle
+    agreement gives the window at every start.
     """
     n1, n2 = len(v1), len(v2)
     L = math.lcm(n1, n2)
     match = [v1[t % n1] == v2[(t + d) % n2] for t in range(L)]
     if all(match):
-        return [(0, cap)]
+        return [(t, cap) for t in range(L)]
     if not any(match):
         return []
     shift = match.index(False)
@@ -105,7 +106,8 @@ def _diagonal_runs(v1: Word, v2: Word, d: int, cap: int) -> list[tuple[int, int]
             j = i
             while j < L and rot[j]:
                 j += 1
-            runs.append(((shift + 1 + i) % L, min(j - i, cap)))
+            for w in range(i, max(i + 1, j - cap + 1)):
+                runs.append(((shift + 1 + w) % L, min(j - i, cap)))
             i = j
         else:
             i += 1

@@ -212,6 +212,32 @@ def test_walls_dump(tmp_path):
     assert dot.read_text().startswith("graph walls {")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\ne 0 1\n",
+        "wallkit-complex 1\ncounts 2 x 0\nv 0\nv 1\ne 0 0 1\n",
+        "wallkit-complex 1\ncounts 2 1 1\nv 0\nv 1\ne 0 0 1\nc 0 5\n",
+        "wallkit-complex 1\ncounts 2 1 1\nv 0\nv 1\ne 0 0 1\nc 0 1 0\n",
+        "wallkit-complex 1\ncounts -1 0 0\n",
+    ],
+    ids=["short-edge-line", "non-integer-count", "edge-past-end", "token-zero", "negative-count"],
+)
+def test_walls_dump_rejects_malformed_complex_file(tmp_path, text):
+    path = tmp_path / "bad.complex"
+    path.write_text(text)
+    rc, out, err = run_cli("walls-dump", "--complex-file", str(path))
+    assert rc == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("max_pairs", ["-1", "0"])
+def test_separation_rejects_non_positive_max_pairs(tmp_path, max_pairs):
+    rc, out, err = run_cli(
+        "separation", "--example", "example2", "--max-pairs", max_pairs, "--out", str(tmp_path / "o"),
+    )
+    assert rc == 2 and "max_pairs" in err and "pairs=" not in out
+
+
 def test_examples_listing():
     rc, out, _ = run_cli("examples")
     assert rc == 0

@@ -200,6 +200,47 @@ def test_example2_bad_params():
 # -- cell pieces and B(6) -----------------------------------------------------------
 
 
+def _two_cycles(arc: int) -> Complex:
+    """Two cycles of length 5 + arc sharing a path of length 5."""
+    from wallkit.complexes import _Builder
+
+    b = _Builder("fixture")
+    u = b.vertex("u")
+    v = b.vertex("v")
+    shared = b.chain(u, v, 5)
+    b.cell(shared + b.chain(v, u, arc))
+    b.cell(shared + b.chain(v, u, arc))
+    return b.done()
+
+
+def _periodic_cell() -> Complex:
+    """A 6-token cell twice round a triangle, and a triangle sharing one edge."""
+    c = Complex([(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)], [((0, 1), (1, 1), (2, 1)) * 2, ((0, 1), (3, 1), (4, 1))], 4)
+    c.validate()
+    return c
+
+
+def _cell_round_a_cell() -> Complex:
+    """A triangle, and a cell that goes round it and on along its first edge:
+    their common run (length 4) is longer than the triangle."""
+    tri = ((0, 1), (1, 1), (2, 1))
+    c = Complex([(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)], [tri, tri + ((0, 1), (3, 1), (4, 1))], 4)
+    c.validate()
+    return c
+
+
+def _edge_both_ways() -> Complex:
+    """One cell crossing edge 0 once in each direction."""
+    c = Complex([(0, 1), (1, 2), (2, 1), (0, 3), (3, 0)], [((0, 1), (1, 1), (2, 1), (0, -1), (3, 1), (4, 1))], 4)
+    c.validate()
+    return c
+
+
+def _tv12_ball8() -> Complex:
+    p = gen_example("tv", I={1, 2}, k=7)
+    return build_cayley_ball(p, DehnMachine(p), 8)
+
+
 def _canon_occ_set(c, entries):
     """Orientation-insensitive canonical form: (cell, slot set) pairs."""
     out = set()
@@ -208,7 +249,8 @@ def _canon_occ_set(c, entries):
         for cid, start, _fwd in pair:
             L = len(c.cells[cid])
             canon.append((cid, frozenset((start + k) % L for k in range(length))))
-        out.add((tuple(sorted(canon)), length))
+        # frozensets order by inclusion only: sort by the slots themselves
+        out.add((tuple(sorted(canon, key=lambda e: (e[0], sorted(e[1])))), length))
     return out
 
 
@@ -229,13 +271,22 @@ def _production_entries(pieces):
         lambda: build_example1([2]),
         lambda: build_example2(2, 8),
         lambda: build_example2(4, 9),
+        _periodic_cell,
+        lambda: build_example1(range(1, 13)),
+        lambda: _two_cycles(7),
+        lambda: _two_cycles(3),
+        _tv12_ball8,
+        _cell_round_a_cell,
+        _edge_both_ways,
     ],
 )
 def test_cell_pieces_match_boundary_overlap_oracle(make):
     c = make()
-    got = _canon_occ_set(c, _production_entries(compute_cell_pieces(c)))
-    want = _canon_occ_set(c, brute_force_cell_pieces(c))
-    assert got == want
+    entries = _production_entries(compute_cell_pieces(c))
+    want = brute_force_cell_pieces(c)
+    assert _canon_occ_set(c, entries) == _canon_occ_set(c, want)
+    assert len(entries) == len(want)
+    assert {(tuple(sorted(pair)), length) for pair, length in entries} == want
 
 
 def test_cell_pieces_on_ball_match_oracle(ball7):
@@ -277,17 +328,7 @@ def test_b6_example2_cprime_implies_b6():
 def test_b6_hand_built_five_piece_overlap():
     # two 12-cycles sharing a path of length 5: single pieces pass the
     # half-length bound, the strict 1/6 piece bound fails
-    from wallkit.complexes import _Builder
-
-    b = _Builder("fixture")
-    u = b.vertex("u")
-    v = b.vertex("v")
-    shared = b.chain(u, v, 5)
-    arc1 = b.chain(v, u, 7)
-    arc2 = b.chain(v, u, 7)
-    b.cell(shared + arc1)
-    b.cell(shared + arc2)
-    c = b.done()
+    c = _two_cycles(7)
     rep = check_B6(c, Fraction(1, 6))
     assert not rep.cprime_passed
     assert rep.b6_passed
@@ -302,17 +343,7 @@ def test_b6_hand_built_five_piece_overlap():
 
 def test_b6_failure_witness():
     # two 8-cycles sharing a path of length 5: a single piece exceeds half
-    from wallkit.complexes import _Builder
-
-    b = _Builder("fixture")
-    u = b.vertex()
-    v = b.vertex()
-    shared = b.chain(u, v, 5)
-    arc1 = b.chain(v, u, 3)
-    arc2 = b.chain(v, u, 3)
-    b.cell(shared + arc1)
-    b.cell(shared + arc2)
-    c = b.done()
+    c = _two_cycles(3)
     rep = check_B6(c)
     assert not rep.b6_passed and rep.witness is not None
     intervals = {}
@@ -320,6 +351,70 @@ def test_b6_failure_witness():
         for occ in (pc.occ1, pc.occ2):
             intervals.setdefault(occ.cell, []).append((occ.start, occ.length))
     assert not brute_force_b6(c, intervals)
+
+
+# check_B6 fields recorded before cell pieces came from the presentation
+# engine: per-cell verdicts, the three flags, the witness, and the piece
+# occurrences as (cell, start, length, forward) pairs.
+B6_GOLDEN = {
+    "example1_1to8": (
+        [(0, 10, 2, 2, True, False), (1, 10, 2, 2, True, False), (2, 14, 4, 4, True, False),
+         (3, 14, 4, 4, True, False), (4, 18, 6, 6, True, False), (5, 18, 6, 6, True, False),
+         (6, 22, 8, 8, True, False), (7, 22, 8, 8, True, False), (8, 26, 10, 10, True, False),
+         (9, 26, 10, 10, True, False), (10, 30, 12, 12, True, False), (11, 30, 12, 12, True, False),
+         (12, 34, 14, 14, True, False), (13, 34, 14, 14, True, False), (14, 38, 16, 16, True, False),
+         (15, 38, 16, 16, True, False)],
+        True, False, True, None,
+        [((0, 4, 2, True), (1, 8, 2, False)), ((2, 5, 4, True), (3, 10, 4, False)),
+         ((4, 6, 6, True), (5, 12, 6, False)), ((6, 7, 8, True), (7, 14, 8, False)),
+         ((8, 8, 10, True), (9, 16, 10, False)), ((10, 9, 12, True), (11, 18, 12, False)),
+         ((12, 10, 14, True), (13, 20, 14, False)), ((14, 11, 16, True), (15, 22, 16, False))],
+    ),
+    "example2_2_14": (
+        [(0, 28, 2, 2, True, True), (1, 28, 2, 2, True, True)],
+        True, True, True, None,
+        [((0, 0, 2, True), (1, 0, 2, True))],
+    ),
+    "example2_4_9": (
+        [(0, 18, 4, 4, True, False), (1, 18, 4, 4, True, False)],
+        True, False, True, None,
+        [((0, 0, 4, True), (1, 0, 4, True))],
+    ),
+    "twelve_cycles": (
+        [(0, 12, 5, 5, True, False), (1, 12, 5, 5, True, False)],
+        True, False, True, None,
+        [((0, 0, 5, True), (1, 0, 5, True))],
+    ),
+    "eight_cycles": (
+        [(0, 8, 5, 5, False, False), (1, 8, 5, 5, False, False)],
+        False, False, True, (0, 0, 5),
+        [((0, 0, 5, True), (1, 0, 5, True))],
+    ),
+}
+
+B6_FIXTURES = {
+    "example1_1to8": lambda: build_example1(range(1, 9)),
+    "example2_2_14": lambda: build_example2(2, 14),
+    "example2_4_9": lambda: build_example2(4, 9),
+    "twelve_cycles": lambda: _two_cycles(7),
+    "eight_cycles": lambda: _two_cycles(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(B6_GOLDEN))
+def test_check_b6_matches_recorded_report(name):
+    from dataclasses import astuple
+
+    c = B6_FIXTURES[name]()
+    rep = check_B6(c, Fraction(1, 6))
+    cells, b6, cprime, implication, witness, pieces = B6_GOLDEN[name]
+    assert [astuple(v) for v in rep.cells] == cells
+    assert (rep.b6_passed, rep.cprime_passed, rep.implication_ok, rep.witness) == (b6, cprime, implication, witness)
+    assert {(astuple(pc.occ1), astuple(pc.occ2)) for pc in rep.pieces} == set(pieces)
+    assert len(rep.pieces) == len(pieces)
+    for pc in rep.pieces:
+        cell = c.cells[pc.occ1.cell]
+        assert pc.path == tuple(cell[(pc.occ1.start + k) % len(cell)] for k in range(pc.length))
 
 
 # -- file round trip -----------------------------------------------------------------
@@ -349,6 +444,12 @@ def test_load_rejects_garbage():
         load_complex("nope\n")
     with pytest.raises(ParseError):
         load_complex("wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\ne 0 0 5\n")
+
+
+def test_load_rejects_backtracking_cell():
+    # edge 0 out and straight back: not an immersed cycle
+    with pytest.raises(ParseError):
+        load_complex("wallkit-complex 1\ncounts 2 1 1\nv 0\nv 1\ne 0 0 1\nc 0 1 -1\n")
 
 
 def test_validate_rejects_duplicate_cells():

@@ -130,14 +130,16 @@ def _canon_words(pieces):
         tv({1, 2}, 6),
         gen_example("pride", n_max=1),
         parse_presentation("gens: a b\nrel: aabab^-1\nrel: b^2a^2b^-1a\n"),
+        # Pieces as long as the shorter relator: every capped window counts.
+        parse_presentation("gens: a b\nrel: (ab)^2\nrel: (ab)^3\n"),
+        parse_presentation("gens: a b c\nrel: ab\nrel: ababac\n"),
     ],
 )
 def test_pieces_match_brute_force(p):
     idx = compute_pieces(p)
     oracle_words, oracle_max = brute_force_pieces(p)
     assert idx.max_by_relator == oracle_max
-    if max(oracle_max.values(), default=0) < min((len(r) for r in p.relators), default=1):
-        assert _canon_words(idx.pieces) == oracle_words
+    assert _canon_words(idx.pieces) == oracle_words
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,8 +159,9 @@ def test_pieces_match_brute_force_random(seed):
     except Exception:
         return
     idx = compute_pieces(p)
-    _, oracle_max = brute_force_pieces(p)
+    oracle_words, oracle_max = brute_force_pieces(p)
     assert idx.max_by_relator == oracle_max
+    assert _canon_words(idx.pieces) == oracle_words
 
 
 DEMO_01 = """
