@@ -795,8 +795,11 @@ def load_complex(text: str) -> Complex:
     for ln in lines[idx:]:
         parts = ln.split()
         if parts[0] == "v":
+            vid = _ints(ln, parts[1:], 1)[0]
+            if not 0 <= vid < nv:
+                raise ParseError(f"line {ln!r} names a vertex outside 0..{nv - 1}")
             if len(parts) > 2:
-                labels[_ints(ln, parts[1:], 1)[0]] = parts[2]
+                labels[vid] = parts[2]
         elif parts[0] == "e":
             eid, u, v = _ints(ln, parts[1:], 3)
             if eid != len(edges):

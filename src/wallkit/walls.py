@@ -10,6 +10,7 @@ flag tracks.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
@@ -47,13 +48,20 @@ class WallSystem:
     settled: dict[int, bool]
     settled_margin: int | None
     _sides_cache: dict[int, list[int] | None] = field(default_factory=dict, repr=False)
-    _bridges: set[int] | None = field(default=None, repr=False)
+    _forest: SpanningForest | None = field(default=None, repr=False)
 
     def wall_ids(self) -> list[int]:
         return sorted(self.walls)
 
     def settled_wall_ids(self) -> list[int]:
         return [w for w in self.wall_ids() if self.settled[w]]
+
+
+def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
+    edge_ids = ws.walls.get(wid)
+    if edge_ids is None:
+        raise BadParams(f"no wall {wid}")
+    return edge_ids
 
 
 def build_walls(
@@ -158,9 +166,7 @@ def _component_labels(c: Complex, removed: frozenset[int]) -> tuple[list[int], i
 
 def wall_components(ws: WallSystem, wid: int) -> ComponentSplit:
     """Components of the 1-skeleton after deleting the wall's open edges."""
-    if wid not in ws.walls:
-        raise BadParams(f"no wall {wid}")
-    label, count = _component_labels(ws.complex, frozenset(ws.walls[wid]))
+    label, count = _component_labels(ws.complex, frozenset(_wall_edges(ws, wid)))
     sides = None
     if count == 2:
         a = frozenset(v for v in range(ws.complex.nv) if label[v] == 0)
@@ -172,71 +178,155 @@ def wall_components(ws: WallSystem, wid: int) -> ComponentSplit:
 def _side_labels(ws: WallSystem, wid: int) -> list[int] | None:
     """Cached side labeling (0/1 per vertex) or None when not two-sided."""
     if wid not in ws._sides_cache:
-        label, count = _component_labels(ws.complex, frozenset(ws.walls[wid]))
+        label, count = _component_labels(ws.complex, frozenset(_wall_edges(ws, wid)))
         ws._sides_cache[wid] = label if count == 2 else None
     return ws._sides_cache[wid]
 
 
-def bridges(c: Complex) -> set[int]:
-    """Edge ids whose removal disconnects the 1-skeleton (iterative Tarjan)."""
+@dataclass
+class SpanningForest:
+    """A BFS spanning forest of the 1-skeleton.
+
+    Vertex x lies in the subtree of y iff ``tin[y] <= tin[x] < tout[y]``.
+    Deleting k tree edges cuts the forest into ``roots + k`` pieces, and the
+    non-tree edges are the only other links between them.  Per-vertex data
+    is kept in arrays: on a Cayley ball a list would hold one int object
+    per entry.
+    """
+
+    edges: list[tuple[int, int]]
+    parent_edge: array                         # vertex -> tree edge to its parent, -1 at a root
+    tin: array
+    tout: array
+    roots: int
+    nontree: list[tuple[int, int, int, int]]  # (eid, u, v, root of their tree)
+    covered: set[int]                          # tree edges on some non-tree edge's cycle
+
+    def tree_child(self, eid: int) -> int:
+        """The lower end of tree edge eid, or -1 for a non-tree edge."""
+        u, v = self.edges[eid]
+        if self.parent_edge[v] == eid:
+            return v
+        if self.parent_edge[u] == eid:
+            return u
+        return -1
+
+    def is_bridge(self, eid: int) -> bool:
+        return eid not in self.covered and self.tree_child(eid) >= 0
+
+
+def spanning_forest(c: Complex) -> SpanningForest:
     adj = c.adjacency()
-    disc = [-1] * c.nv
-    low = [0] * c.nv
-    out: set[int] = set()
-    timer = 0
-    for root in range(c.nv):
-        if disc[root] >= 0:
+    parent = array("l", [-1]) * c.nv
+    parent_edge = array("l", [-1]) * c.nv
+    seen = bytearray(c.nv)
+    order: list[int] = []
+    roots = 0
+    for r in range(c.nv):
+        if seen[r]:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, pe, it = stack[-1]
-            child = None
-            for v, eid in it:
-                if eid == pe:
-                    continue
-                if disc[v] >= 0:
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-                else:
-                    child = (v, eid)
-                    break
-            if child is None:
-                stack.pop()
-                if pe >= 0:
-                    pu = stack[-1][0]
-                    if low[u] < low[pu]:
-                        low[pu] = low[u]
-                    if low[u] > disc[pu]:
-                        out.add(pe)
-            else:
-                v, eid = child
-                disc[v] = low[v] = timer
-                timer += 1
-                stack.append((v, eid, iter(adj[v])))
-    return out
+        roots += 1
+        seen[r] = 1
+        head = len(order)
+        order.append(r)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v, eid in adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    parent[v] = u
+                    parent_edge[v] = eid
+                    order.append(v)
+    size = array("l", [1]) * c.nv
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    # preorder numbering: parents come first in BFS order, and each child
+    # takes the next free slot of its parent's interval; once every child
+    # is placed, a vertex's next free slot is the end of its interval
+    tin = array("l", [0]) * c.nv
+    tout = array("l", [0]) * c.nv
+    t = 0
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            tin[v] = t
+            t += size[v]
+        else:
+            tin[v] = tout[p]
+            tout[p] += size[v]
+        tout[v] = tin[v] + 1
+    f = SpanningForest(c.edges, parent_edge, tin, tout, roots, [], set())
+    for eid, (u, v) in enumerate(c.edges):
+        if f.tree_child(eid) >= 0:
+            continue
+        # mark the tree path u .. lca .. v of the edge's fundamental cycle
+        a, b = u, v
+        while not tin[a] <= tin[b] < tout[a]:
+            f.covered.add(parent_edge[a])
+            a = parent[a]
+        while b != a:
+            f.covered.add(parent_edge[b])
+            b = parent[b]
+        while parent[a] >= 0:
+            a = parent[a]
+        f.nontree.append((eid, u, v, a))
+    return f
+
+
+def _forest(ws: WallSystem) -> SpanningForest:
+    if ws._forest is None:
+        ws._forest = spanning_forest(ws.complex)
+    return ws._forest
+
+
+def _component_count(f: SpanningForest, edge_ids: tuple[int, ...]) -> int:
+    """Components of the 1-skeleton minus edge_ids, from the forest pieces."""
+    removed = set(edge_ids)
+    # top vertex of each piece cut off by a removed tree edge
+    cuts = [x for x in map(f.tree_child, edge_ids) if x >= 0]
+    tin, tout = f.tin, f.tout
+
+    def piece(x: int, root: int) -> int:
+        top = root
+        for y in cuts:
+            if tin[top] < tin[y] <= tin[x] < tout[y]:
+                top = y
+        return top
+
+    link: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while x in link:
+            x = link[x]
+        return x
+
+    merged = 0
+    for eid, u, v, root in f.nontree:
+        if eid in removed:
+            continue
+        a, b = find(piece(u, root)), find(piece(v, root))
+        if a != b:
+            link[a] = b
+            merged += 1
+    return f.roots + len(cuts) - merged
 
 
 def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> dict[int, ComponentSplit]:
-    """Batch two-sidedness; singleton walls short-circuit through the bridge
-    set, multi-edge walls get an explicit component count."""
-    c = ws.complex
-    if ws._bridges is None:
-        ws._bridges = bridges(c)
+    """Batch two-sidedness from one spanning forest per wall system: a
+    singleton wall separates iff its edge is a bridge, and a larger wall's
+    component count joins the forest pieces its tree edges cut off along the
+    non-tree edges it keeps."""
+    f = _forest(ws)
     out: dict[int, ComponentSplit] = {}
     for wid in (ws.wall_ids() if wall_ids is None else wall_ids):
-        edge_ids = ws.walls[wid]
+        edge_ids = _wall_edges(ws, wid)
         if len(edge_ids) == 1:
-            eid = edge_ids[0]
-            if eid in ws._bridges:
-                out[wid] = ComponentSplit(wid, 2, None)
-            else:
-                out[wid] = ComponentSplit(wid, 1, None)
+            count = 2 if f.is_bridge(edge_ids[0]) else 1
         else:
-            label, count = _component_labels(c, frozenset(edge_ids))
-            sides = None
-            out[wid] = ComponentSplit(wid, count, sides)
+            count = _component_count(f, edge_ids)
+        out[wid] = ComponentSplit(wid, count, None)
     return out
 
 
@@ -253,9 +343,7 @@ class Hypergraph:
 
 
 def hypergraph_of(ws: WallSystem, wid: int) -> Hypergraph:
-    if wid not in ws.walls:
-        raise BadParams(f"no wall {wid}")
-    verts = ws.walls[wid]
+    verts = _wall_edges(ws, wid)
     realizations = ws.hyperedges[wid]
     # connected by construction; tree iff |E| = |V| - 1 and no loops
     loops = any(e1 == e2 for _, e1, e2 in realizations)
@@ -267,11 +355,12 @@ def hypercarrier(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[in
     """(vertex set, edge set) of the union of closed cells containing the
     wall's edges, or the edge itself for a cell-free wall."""
     c = ws.complex
+    edge_ids = _wall_edges(ws, wid)
     vs: set[int] = set()
     es: set[int] = set()
     cells = {cid for cid, _, _ in ws.hyperedges[wid]}
     if not cells:
-        for eid in ws.walls[wid]:
+        for eid in edge_ids:
             u, v = c.edges[eid]
             vs.update((u, v))
             es.add(eid)
@@ -290,6 +379,61 @@ class ConvexityReport:
     witness: tuple[int, int, int] | None  # (u, v, offending edge) in strict mode
 
 
+def _geodesic_taint(
+    adj: list[list[tuple[int, int]]] | dict[int, list[tuple[int, int]]],
+    u: int,
+    targets: set[int],
+    carrier_es: frozenset[int],
+) -> tuple[dict[int, int], set[int]]:
+    """BFS from u, level by level, until every target is reached.
+
+    Returns the distances found and the tainted vertices: those some
+    geodesic from u reaches through an edge outside carrier_es.
+    """
+    dist = {u: 0}
+    tainted: set[int] = set()
+    frontier = [u]
+    left = len(targets)
+    d = 0
+    while frontier and left:
+        d += 1
+        nxt = []
+        for x in frontier:
+            x_tainted = x in tainted
+            for y, eid in adj[x]:
+                dy = dist.get(y)
+                if dy is None:
+                    dist[y] = d
+                    nxt.append(y)
+                    if y in targets:
+                        left -= 1
+                elif dy != d:
+                    continue
+                if x_tainted or eid not in carrier_es:
+                    tainted.add(y)
+        frontier = nxt
+    return dist, tainted
+
+
+def _cone_exit(c: Complex, carrier_es: frozenset[int], u: int, v: int) -> int:
+    """First edge outside the carrier met by walking the geodesic cone from u
+    toward v; the caller knows one exists."""
+    du, dv = c.bfs_distances(u), c.bfs_distances(v)
+    D = du[v]
+    adj = c.adjacency()
+    frontier = {u}
+    for _ in range(D):
+        nxt: set[int] = set()
+        for x in frontier:
+            for y, eid in adj[x]:
+                if du[x] + 1 == du[y] and du[y] + dv[y] == D:
+                    if eid not in carrier_es:
+                        return eid
+                    nxt.add(y)
+        frontier = nxt
+    raise AssertionError(f"no geodesic from {u} to {v} leaves the carrier")
+
+
 def hypercarrier_check(
     ws: WallSystem,
     wid: int,
@@ -299,41 +443,33 @@ def hypercarrier_check(
     """Geodesic convexity of the hypercarrier in the ambient 1-skeleton.
 
     Strict mode demands every ambient geodesic between carrier vertices stay
-    inside the carrier; non-strict only that some geodesic does.
+    inside the carrier; non-strict only that some geodesic does.  Carrier
+    vertices are taken in sorted order, each with one BFS that stops once
+    every later carrier vertex is reached; the witness is the first failing
+    pair (u, v), u < v, in that order.
     """
     c = ws.complex
     carrier_vs, carrier_es = hypercarrier(ws, wid)
     vs = sorted(carrier_vs)
-    dist_maps = {v: c.bfs_distances(v) for v in vs}
     adj = c.adjacency()
-    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
-    for u, v in pairs:
-        du, dv = dist_maps[u], dist_maps[v]
-        D = du[v]
+    if not strict:
+        inner_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vs}
+        for eid in carrier_es:
+            a, b = c.edges[eid]
+            inner_adj[a].append((b, eid))
+            inner_adj[b].append((a, eid))
+    for i, u in enumerate(vs[:-1]):
+        later = vs[i + 1:]
+        dist, tainted = _geodesic_taint(adj, u, set(later), carrier_es)
         if strict:
-            # walk the geodesic cone from u toward v
-            frontier = {u}
-            for k in range(D):
-                nxt: set[int] = set()
-                for x in frontier:
-                    for y, eid in adj[x]:
-                        if du[x] + 1 == du[y] and du[y] + dv[y] == D:
-                            if eid not in carrier_es:
-                                return ConvexityReport(wid, strict, False, (u, v, eid))
-                            nxt.add(y)
-                frontier = nxt
+            bad = next((v for v in later if v in tainted), None)
+            if bad is not None:
+                return ConvexityReport(wid, strict, False, (u, bad, _cone_exit(c, carrier_es, u, bad)))
         else:
-            # BFS restricted to the carrier
-            seen = {u: 0}
-            q = deque([u])
-            while q:
-                x = q.popleft()
-                for y, eid in adj[x]:
-                    if eid in carrier_es and y not in seen:
-                        seen[y] = seen[x] + 1
-                        q.append(y)
-            if seen.get(v) != D:
-                return ConvexityReport(wid, strict, False, (u, v, -1))
+            inner, _ = _geodesic_taint(inner_adj, u, set(later), carrier_es)
+            bad = next((v for v in later if inner.get(v) != dist.get(v, -1)), None)
+            if bad is not None:
+                return ConvexityReport(wid, strict, False, (u, bad, -1))
     return ConvexityReport(wid, strict, True, None)
 
 

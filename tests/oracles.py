@@ -1,15 +1,17 @@
 """Independent brute-force oracles the production code is tested against.
 
 Everything here is written naively on purpose: no shared code paths with the
-library's piece/wall machinery beyond the Word container.
+library's piece/wall machinery beyond its result containers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from wallkit.presentation import Piece, PieceIndex, Presentation
+from wallkit.walls import ConvexityReport
 from wallkit.words import Word
 
 
@@ -318,3 +320,86 @@ def brute_force_b6(c, intervals_by_cell) -> bool:
             if 2 * reach(s, 3) > L:
                 return False
     return True
+
+
+# -- walls -----------------------------------------------------------------------
+
+
+def bridges(c) -> set[int]:
+    """Edge ids whose removal disconnects the 1-skeleton (iterative Tarjan)."""
+    adj = c.adjacency()
+    disc = [-1] * c.nv
+    low = [0] * c.nv
+    out: set[int] = set()
+    timer = 0
+    for root in range(c.nv):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, pe, it = stack[-1]
+            child = None
+            for v, eid in it:
+                if eid == pe:
+                    continue
+                if disc[v] >= 0:
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    child = (v, eid)
+                    break
+            if child is None:
+                stack.pop()
+                if pe >= 0:
+                    pu = stack[-1][0]
+                    if low[u] < low[pu]:
+                        low[pu] = low[u]
+                    if low[u] > disc[pu]:
+                        out.add(pe)
+            else:
+                v, eid = child
+                disc[v] = low[v] = timer
+                timer += 1
+                stack.append((v, eid, iter(adj[v])))
+    return out
+
+
+def pairwise_hypercarrier_check(ws, wid: int, *, strict: bool = True) -> ConvexityReport:
+    """Hypercarrier convexity pair by pair: a full BFS from every carrier
+    vertex, then for each pair u < v a walk of the geodesic cone from u
+    toward v (strict) or a BFS restricted to the carrier (non-strict)."""
+    c = ws.complex
+    cells = {cid for cid, _, _ in ws.hyperedges[wid]}
+    carrier_es = {eid for cid in cells for eid, _ in c.cells[cid]} or set(ws.walls[wid])
+    vs = sorted({x for eid in carrier_es for x in c.edges[eid]})
+    dist_maps = {v: c.bfs_distances(v) for v in vs}
+    adj = c.adjacency()
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    for u, v in pairs:
+        du, dv = dist_maps[u], dist_maps[v]
+        D = du[v]
+        if strict:
+            frontier = {u}
+            for k in range(D):
+                nxt: set[int] = set()
+                for x in frontier:
+                    for y, eid in adj[x]:
+                        if du[x] + 1 == du[y] and du[y] + dv[y] == D:
+                            if eid not in carrier_es:
+                                return ConvexityReport(wid, strict, False, (u, v, eid))
+                            nxt.add(y)
+                frontier = nxt
+        else:
+            seen = {u: 0}
+            q = deque([u])
+            while q:
+                x = q.popleft()
+                for y, eid in adj[x]:
+                    if eid in carrier_es and y not in seen:
+                        seen[y] = seen[x] + 1
+                        q.append(y)
+            if seen.get(v) != D:
+                return ConvexityReport(wid, strict, False, (u, v, -1))
+    return ConvexityReport(wid, strict, True, None)

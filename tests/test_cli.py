@@ -220,8 +220,9 @@ def test_walls_dump(tmp_path):
         "wallkit-complex 1\ncounts 2 1 1\nv 0\nv 1\ne 0 0 1\nc 0 5\n",
         "wallkit-complex 1\ncounts 2 1 1\nv 0\nv 1\ne 0 0 1\nc 0 1 0\n",
         "wallkit-complex 1\ncounts -1 0 0\n",
+        "wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\nv 7 ghost\ne 0 0 1\n",
     ],
-    ids=["short-edge-line", "non-integer-count", "edge-past-end", "token-zero", "negative-count"],
+    ids=["short-edge-line", "non-integer-count", "edge-past-end", "token-zero", "negative-count", "vertex-past-end"],
 )
 def test_walls_dump_rejects_malformed_complex_file(tmp_path, text):
     path = tmp_path / "bad.complex"

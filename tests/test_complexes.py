@@ -446,6 +446,13 @@ def test_load_rejects_garbage():
         load_complex("wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\ne 0 0 5\n")
 
 
+@pytest.mark.parametrize("line", ["v 7 ghost", "v -1 ghost", "v 2"])
+def test_load_rejects_vertex_past_end(line):
+    # a label on a vertex the file does not have would not survive a save
+    with pytest.raises(ParseError, match="outside 0..1"):
+        load_complex(f"wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\n{line}\ne 0 0 1\n")
+
+
 def test_load_rejects_backtracking_cell():
     # edge 0 out and straight back: not an immersed cycle
     with pytest.raises(ParseError):

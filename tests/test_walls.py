@@ -3,7 +3,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bridges, pairwise_hypercarrier_check
 from wallkit.complexes import (
     Complex,
     build_cayley_ball,
@@ -13,10 +16,11 @@ from wallkit.complexes import (
     subdivide,
 )
 from wallkit.dehn import DehnMachine
-from wallkit.errors import OddCell
+from wallkit.errors import BadParams, OddCell
 from wallkit.presentation import gen_example
 from wallkit.walls import (
-    bridges,
+    WallSystem,
+    _component_labels,
     build_walls,
     dump_walls,
     hypercarrier,
@@ -36,15 +40,32 @@ def tree():
     return build_cayley_ball(free, DehnMachine(free), 2)
 
 
-@pytest.fixture(scope="module")
-def ball7():
+def _tv1_ball7():
     one = gen_example("tv", I={1}, k=7)
     return build_cayley_ball(one, DehnMachine(one), 7)
 
 
 @pytest.fixture(scope="module")
+def ball7():
+    return _tv1_ball7()
+
+
+@pytest.fixture(scope="module")
 def ex1():
     return build_example1([1])
+
+
+def _tv12_ball(radius):
+    two = gen_example("tv", I={1, 2}, k=7)
+    return build_cayley_ball(two, DehnMachine(two), radius)
+
+
+def _open_14_path():
+    return Complex([(i, i + 1) for i in range(13)], [], 14)
+
+
+def _closed_14_cycle():
+    return Complex([(i, (i + 1) % 14) for i in range(14)], [], 14)
 
 
 # -- construction ---------------------------------------------------------------
@@ -125,10 +146,72 @@ def test_bridges_match_naive(ex1):
     adj_edges = list(range(len(ex1.edges)))
     got = bridges(ex1)
     for eid in adj_edges:
-        _, count = __import__("wallkit.walls", fromlist=["_component_labels"])._component_labels(
-            ex1, frozenset([eid])
-        )
+        _, count = _component_labels(ex1, frozenset([eid]))
         assert (eid in got) == (count == 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_example1(range(1, 13)),
+        lambda: build_example2(2, 14),
+        lambda: _tv12_ball(7),
+        lambda: _tv12_ball(8),
+        _open_14_path,
+        _closed_14_cycle,
+    ],
+    ids=["example1-1..12", "example2-2-14", "tv12-radius7", "tv12-radius8", "open-14-path", "closed-14-cycle"],
+)
+def test_two_sidedness_counts_match_component_labels(build):
+    c = build()
+    ws = build_walls(c)
+    rep = two_sidedness_report(ws)
+    assert sorted(rep) == ws.wall_ids()
+    tarjan = bridges(c)
+    singles = [wid for wid in ws.wall_ids() if len(ws.walls[wid]) == 1]
+    for wid in singles:
+        assert rep[wid].two_sided == (ws.walls[wid][0] in tarjan)
+    # a component BFS per wall costs ~5 ms on the 13,107-vertex ball: there
+    # it runs on every multi-edge wall and a sample of the singletons, which
+    # the bridge oracle above covers in full
+    checked = [wid for wid in ws.wall_ids() if len(ws.walls[wid]) > 1]
+    checked += singles if c.nv < 5000 else random.Random(5).sample(singles, 300)
+    for wid in checked:
+        assert rep[wid].component_count == _component_labels(c, frozenset(ws.walls[wid]))[1], wid
+
+
+@st.composite
+def _graph_with_walls(draw):
+    nv = draw(st.integers(1, 12))
+    # a spanning tree, or a forest when a vertex draws no parent (-1)
+    lowest = draw(st.sampled_from([0, -1]))
+    parents = [draw(st.integers(lowest, v - 1)) for v in range(1, nv)]
+    edges = [(p, v) for v, p in enumerate(parents, 1) if p >= 0]
+    extra = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    edges += draw(st.lists(extra, max_size=10))  # may repeat edges or add loops
+    order = draw(st.permutations(edges))
+    labels = draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)))
+    return Complex(list(order), [], nv), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_with_walls())
+def test_two_sidedness_counts_match_component_labels_random(graph):
+    # the wall system is built by hand: random edge subsets stand in for walls
+    c, labels = graph
+    connected = _component_labels(c, frozenset())[1] == 1
+    groups: dict[int, list[int]] = {}
+    for eid, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(eid)
+    walls = {g[0]: tuple(g) for g in groups.values()}
+    wall_of_edge = [groups[lab][0] for lab in labels]
+    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls}, {w: True for w in walls}, None)
+    rep = two_sidedness_report(ws)
+    for wid, edge_ids in walls.items():
+        want = _component_labels(c, frozenset(edge_ids))[1]
+        if len(edge_ids) == 1 and not connected:
+            want = 2 if edge_ids[0] in bridges(c) else 1  # one-edge walls report bridge or not
+        assert rep[wid].component_count == want
 
 
 def test_truncation_can_break_two_sidedness():
@@ -198,17 +281,87 @@ def test_example1_carrier_convexity():
         assert rep.passed, (wid, rep.witness)
 
 
-def test_strict_convexity_failure_detected():
-    # square cell plus a shortcut chord between opposite corners: the
-    # ambient geodesic through the chord leaves the carrier
+def _chord_square():
+    # square cell plus a shortcut chord between opposite corners
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-    c = Complex(edges, [((0, 1), (1, 1), (2, 1), (3, 1))], 4)
-    ws = build_walls(c)
+    return Complex(edges, [((0, 1), (1, 1), (2, 1), (3, 1))], 4)
+
+
+def test_strict_convexity_failure_detected():
+    # the ambient geodesic through the chord leaves the carrier
+    ws = build_walls(_chord_square())
     wid = ws.wall_of_edge[0]
     rep = hypercarrier_check(ws, wid, strict=True)
     assert not rep.passed
     rep2 = hypercarrier_check(ws, wid, strict=False)
     assert not rep2.passed  # chord is the unique geodesic 0-2
+
+
+def _ball7_walls():
+    ws = build_walls(_tv1_ball7())
+    singles = [wid for wid in ws.wall_ids() if not ws.hyperedges[wid]]
+    # two full BFS runs per singleton wall in the oracle: sample them
+    keep = set(random.Random(7).sample(singles, 100))
+    return ws, [wid for wid in ws.wall_ids() if ws.hyperedges[wid] or wid in keep]
+
+
+def _every_wall(c):
+    ws = build_walls(c)
+    return ws, ws.wall_ids()
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize(
+    "walls",
+    [
+        lambda: _every_wall(build_example1(range(1, 13))),
+        lambda: _every_wall(build_example2(2, 14)),
+        lambda: _every_wall(build_example2(4, 9)),
+        _ball7_walls,
+        lambda: _every_wall(_chord_square()),
+    ],
+    ids=["example1-1..12", "example2-2-14", "example2-4-9", "tv1-radius7", "chord-square"],
+)
+def test_hypercarrier_check_matches_pairwise_oracle(walls, strict):
+    ws, wall_ids = walls()
+    for wid in wall_ids:
+        assert hypercarrier_check(ws, wid, strict=strict) == pairwise_hypercarrier_check(ws, wid, strict=strict)
+
+
+def test_hypercarrier_witness_is_first_failing_pair():
+    # an octagon cell with two chords: many carrier pairs have a geodesic
+    # through a chord (strict failures), fewer have only such geodesics
+    # (non-strict failures); each mode reports its least failing pair
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 4), (5, 7)]
+    c = Complex(edges, [tuple((i, 1) for i in range(8))], 8)
+    ws = build_walls(c)
+    wid = ws.wall_of_edge[0]
+    some, only = [], []
+    for u, v in itertools.combinations(range(8), 2):
+        du, dv = c.bfs_distances(u), c.bfs_distances(v)
+        if any(du[a] + 1 + dv[b] == du[v] for a, b in edges[8:] + [e[::-1] for e in edges[8:]]):
+            some.append((u, v))
+        if min(v - u, 8 - v + u) != du[v]:
+            only.append((u, v))
+    assert len(some) > len(only) >= 3
+    strict = hypercarrier_check(ws, wid, strict=True)
+    loose = hypercarrier_check(ws, wid, strict=False)
+    assert strict == pairwise_hypercarrier_check(ws, wid, strict=True)
+    assert loose == pairwise_hypercarrier_check(ws, wid, strict=False)
+    assert strict.witness[:2] == some[0] and loose.witness == only[0] + (-1,)
+    assert (strict.witness, loose.witness) == ((0, 3, 8), (0, 4, -1))
+
+
+def test_unknown_wall_id_is_bad_params(ex1):
+    ws = build_walls(ex1)
+    for call in (
+        lambda: hypercarrier(ws, 10**6),
+        lambda: hypercarrier_check(ws, 10**6),
+        lambda: two_sidedness_report(ws, wall_ids=[10**6]),
+        lambda: separates(ws, 10**6, 0, 1),
+    ):
+        with pytest.raises(BadParams, match="no wall"):
+            call()
 
 
 # -- wall pseudo-metric ------------------------------------------------------------
