@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,11 +120,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        p = _load_presentation(args)
-    except WallkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    p = _load_presentation(args)
     report = check_small_cancellation(p, args.lam)
     for e in report.entries:
         worst = p.show(e.worst.word) if e.worst else "-"
@@ -156,9 +153,6 @@ def cmd_separation(args) -> int:
                 json.dumps({"error": str(e), "passed": False}, indent=2) + "\n"
             )
         return EXIT_BUDGET
-    except (WallkitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
     ws = build_walls(c, settled_policy=args.settled_policy, settled_margin=args.margin)
     region_mode = args.region
@@ -171,28 +165,22 @@ def cmd_separation(args) -> int:
             # is a valid complex in its own right, fall back to a seeded
             # vertex sample with every wall treated as settled.
             if validity_summary(c, cfg.lam).ok:
-                import random as _random
-
-                rng = _random.Random(cfg.seed)
+                rng = random.Random(cfg.seed)
                 k = min(c.nv, 240)
                 region = sorted(rng.sample(range(c.nv), k))
                 ws = build_walls(c, settled_policy="all")
                 region_mode = "auto:intrinsic-sample"
             else:
                 region_mode = "auto:empty-interior"
-    try:
-        report = verify_linear_separation(
-            c,
-            ws,
-            cfg.lam,
-            region=region,
-            observe=args.observe,
-            max_pairs=args.max_pairs,
-            seed=cfg.seed,
-        )
-    except WallkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    report = verify_linear_separation(
+        c,
+        ws,
+        cfg.lam,
+        region=region,
+        observe=args.observe,
+        max_pairs=args.max_pairs,
+        seed=cfg.seed,
+    )
     csv_text = report_to_csv(report)
     payload = json.loads(report_to_json(report))
     payload["region"] = region_mode
@@ -217,22 +205,14 @@ def cmd_separation(args) -> int:
 
 
 def cmd_word(args) -> int:
-    try:
-        p = _load_presentation(args)
-        w = p.word(args.word)
-    except WallkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    p = _load_presentation(args)
+    w = p.word(args.word)
     m = DehnMachine(p, node_budget=args.node_budget)
     if not m.small_cancellation_ok:
         print("presentation fails the 1/6 piece condition", file=sys.stderr)
         return EXIT_FAIL
-    try:
-        reduced = dehn_reduce(w, m)
-        nf = shortlex_normal_form(w, m)
-    except BudgetExceeded as e:
-        print(f"budget: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    reduced = dehn_reduce(w, m)
+    nf = shortlex_normal_form(w, m)
     print(f"reduced: {render(reduced, p.generators)}")
     print(f"normal form: {render(nf, p.generators)}")
     print("trivial" if len(reduced) == 0 else "non-trivial")
@@ -246,14 +226,7 @@ def cmd_walls_dump(args) -> int:
         node_budget=args.node_budget,
         seed=args.seed,
     )
-    try:
-        c, _ = _build_complex(args, cfg)
-    except BudgetExceeded as e:
-        print(f"budget: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (WallkitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    c, _ = _build_complex(args, cfg)
     ws = build_walls(c, settled_policy=args.settled_policy, settled_margin=args.margin)
     text = dump_walls(ws)
     if args.out:

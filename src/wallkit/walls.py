@@ -11,8 +11,9 @@ flag tracks.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Literal
 
 from .complexes import Complex, geodesic
@@ -47,8 +48,8 @@ class WallSystem:
     hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
     settled: dict[int, bool]
     settled_margin: int | None
-    _sides_cache: dict[int, list[int] | None] = field(default_factory=dict, repr=False)
-    _forest: SpanningForest | None = field(default=None, repr=False)
+    _tree: SpanningTree | None = field(default=None, repr=False)
+    _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
 
     def wall_ids(self) -> list[int]:
         return sorted(self.walls)
@@ -64,23 +65,11 @@ def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
     return edge_ids
 
 
-def build_walls(
+def _opposite_classes(
     c: Complex,
-    *,
-    settled_policy: SettledPolicy = "margin",
-    settled_margin: int | None = None,
-) -> WallSystem:
-    """Union opposite edge pairs over every cell and assemble per-wall data.
-
-    settled policy "margin": on a ball of radius R, a wall is settled iff
-    every vertex of its hypercarrier lies within R - margin (margin defaults
-    to the longest cell boundary present).  Non-ball complexes are complete,
-    so all their walls are settled.  Policy "all" marks every wall settled;
-    use it when the complex has been verified valid in its own right.
-    """
-    for cell in c.cells:
-        if len(cell) % 2:
-            raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
+) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, int, int], ...]]]:
+    """Union opposite edge pairs over every cell: (wall of each edge, edges
+    of each wall, the (cell, e1, e2) pairs realizing each wall)."""
     uf = UnionFind(len(c.edges))
     pair_realizations: list[tuple[int, int, int]] = []
     for cid, cell in enumerate(c.cells):
@@ -98,7 +87,30 @@ def build_walls(
     hyper: dict[int, list[tuple[int, int, int]]] = {wid: [] for wid in walls}
     for cid, e1, e2 in pair_realizations:
         hyper[wall_of_edge[e1]].append((cid, e1, e2))
+    return wall_of_edge, walls, {wid: tuple(h) for wid, h in hyper.items()}
 
+
+def build_walls(
+    c: Complex,
+    *,
+    settled_policy: SettledPolicy = "margin",
+    settled_margin: int | None = None,
+) -> WallSystem:
+    """Assemble the walls (the classes of opposite edges) and their data.
+
+    settled policy "margin": on a ball of radius R, a wall is settled iff
+    every vertex of its hypercarrier lies within R - margin (margin defaults
+    to the longest cell boundary present).  Non-ball complexes are complete,
+    so all their walls are settled.  Policy "all" marks every wall settled;
+    use it when the complex has been verified valid in its own right.
+
+    Every wall query reads the spanning tree built here, so a disconnected
+    1-skeleton raises BadParams.
+    """
+    for cell in c.cells:
+        if len(cell) % 2:
+            raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
+    wall_of_edge, walls, hyper = _opposite_classes(c)
     settled: dict[int, bool] = {}
     if settled_policy == "all":
         settled = {wid: True for wid in walls}
@@ -119,18 +131,162 @@ def build_walls(
                 for eid in edge_ids:
                     verts.update(c.edges[eid])
             settled[wid] = all(c.dist[v] <= cutoff for v in verts)
+    # built once the partition's temporaries are gone, to keep the peak down
+    tree = spanning_tree(c)
     return WallSystem(
         c,
         wall_of_edge,
         walls,
-        {wid: tuple(h) for wid, h in hyper.items()},
+        hyper,
         settled,
         margin if settled_policy == "margin" else None,
+        tree,
     )
 
 
 # ---------------------------------------------------------------------------
 # Two-sidedness
+
+
+@dataclass
+class SpanningTree:
+    """A BFS spanning tree of the 1-skeleton, rooted at vertex 0.
+
+    Vertex x lies in the subtree of y iff ``tin[y] <= tin[x] < tout[y]``.
+    Deleting k tree edges cuts the tree into k + 1 pieces, and the non-tree
+    edges are the only other links between them.  Per-vertex data is kept
+    in arrays: on a Cayley ball a list would hold one int object per entry.
+    """
+
+    edges: list[tuple[int, int]]
+    parent_edge: array             # vertex -> tree edge to its parent, -1 at the root
+    tin: array
+    tout: array
+    pre: array                     # tin -> vertex
+    nontree: list[tuple[int, int, int]]  # (eid, u, v)
+    covered: bytearray             # eid -> 1 if on some non-tree edge's cycle
+
+    def tree_child(self, eid: int) -> int:
+        """The lower end of tree edge eid, or -1 for a non-tree edge."""
+        u, v = self.edges[eid]
+        if self.parent_edge[v] == eid:
+            return v
+        if self.parent_edge[u] == eid:
+            return u
+        return -1
+
+
+def spanning_tree(c: Complex) -> SpanningTree:
+    """BFS spanning tree from vertex 0; BadParams if the 1-skeleton is
+    disconnected."""
+    adj = c.adjacency()
+    parent = array("l", [-1]) * c.nv
+    parent_edge = array("l", [-1]) * c.nv
+    order = array("l", [0] if c.nv else [])
+    seen = bytearray(c.nv)
+    if c.nv:
+        seen[0] = 1
+    for u in order:  # an array iterator sees the appends
+        for v, eid in adj[u]:
+            if not seen[v]:
+                seen[v] = 1
+                parent[v] = u
+                parent_edge[v] = eid
+                order.append(v)
+    if len(order) < c.nv:
+        raise BadParams(f"1-skeleton is disconnected: vertex {seen.index(0)} is not reached from vertex 0")
+    size = array("l", [1]) * c.nv
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    # preorder numbering: parents come first in BFS order, and each child
+    # takes the next free slot of its parent's interval; once every child
+    # is placed, a vertex's next free slot is the end of its interval
+    tin = array("l", [0]) * c.nv
+    tout = array("l", [0]) * c.nv
+    pre = array("l", [0]) * c.nv
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            tin[v] = tout[p]
+            tout[p] += size[v]
+        tout[v] = tin[v] + 1
+        pre[tin[v]] = v
+    t = SpanningTree(c.edges, parent_edge, tin, tout, pre, [], bytearray(len(c.edges)))
+    for eid, (u, v) in enumerate(c.edges):
+        if t.tree_child(eid) >= 0:
+            continue
+        # mark the tree path u .. lca .. v of the edge's fundamental cycle
+        a, b = u, v
+        while not tin[a] <= tin[b] < tout[a]:
+            t.covered[parent_edge[a]] = 1
+            a = parent[a]
+        while b != a:
+            t.covered[parent_edge[b]] = 1
+            b = parent[b]
+        t.nontree.append((eid, u, v))
+    return t
+
+
+def _tree(ws: WallSystem) -> SpanningTree:
+    if ws._tree is None:
+        ws._tree = spanning_tree(ws.complex)
+    return ws._tree
+
+
+@dataclass(frozen=True)
+class WallSplit:
+    """The 1-skeleton minus a wall's edges, read off the spanning tree.
+
+    The wall's tree edges cut the tree into pieces: the root's piece and,
+    for each such edge, the subtree below it minus the pieces nested in it.
+    On a two-sided wall, spans holds (tin, tout, side) of each cut-off
+    subtree, outermost first; the root's piece, with vertex 0, is side 0.
+    """
+
+    count: int
+    spans: tuple[tuple[int, int, int], ...] = ()
+
+    def side(self, pos: int) -> int:
+        """Side of the vertex with tin pos: the label of the innermost span
+        holding pos, 0 outside every span."""
+        s = 0
+        for lo, hi, k in self.spans:
+            if lo <= pos < hi:
+                s = k  # later spans holding pos are nested deeper
+        return s
+
+
+def _split(ws: WallSystem, wid: int) -> WallSplit:
+    """The wall's split, cached for multi-edge walls.  A one-edge wall
+    separates iff its edge is a bridge, an O(1) test that is not worth a
+    cache entry on a ball with tens of thousands of such walls."""
+    split = ws._splits.get(wid)
+    if split is not None:
+        return split
+    t = _tree(ws)
+    edge_ids = _wall_edges(ws, wid)
+    spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
+    if len(edge_ids) == 1:
+        if spans and not t.covered[edge_ids[0]]:
+            return WallSplit(2, ((*spans[0], 1),))
+        return WallSplit(1)
+    # number the pieces, 0 for the root's and i for the one below the i-th
+    # span, and join them along the non-tree edges the wall keeps
+    pieces = WallSplit(len(spans) + 1, tuple((lo, hi, i) for i, (lo, hi) in enumerate(spans, 1)))
+    uf = UnionFind(len(spans) + 1)
+    removed = set(edge_ids)
+    for eid, u, v in t.nontree:
+        if eid not in removed:
+            uf.union(pieces.side(t.tin[u]), pieces.side(t.tin[v]))
+    label: dict[int, int] = {}
+    comp = [label.setdefault(uf.find(i), len(label)) for i in range(len(spans) + 1)]
+    if len(label) == 2:
+        split = WallSplit(2, tuple((lo, hi, s) for (lo, hi), s in zip(spans, comp[1:])))
+    else:
+        split = WallSplit(len(label))
+    ws._splits[wid] = split
+    return split
 
 
 @dataclass
@@ -144,190 +300,32 @@ class ComponentSplit:
         return self.component_count == 2
 
 
-def _component_labels(c: Complex, removed: frozenset[int]) -> tuple[list[int], int]:
-    label = [-1] * c.nv
-    adj = c.adjacency()
-    count = 0
-    for start in range(c.nv):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v, eid in adj[u]:
-                if eid in removed or label[v] >= 0:
-                    continue
-                label[v] = count
-                q.append(v)
-        count += 1
-    return label, count
-
-
 def wall_components(ws: WallSystem, wid: int) -> ComponentSplit:
-    """Components of the 1-skeleton after deleting the wall's open edges."""
-    label, count = _component_labels(ws.complex, frozenset(_wall_edges(ws, wid)))
+    """Components of the 1-skeleton after deleting the wall's open edges;
+    the side holding vertex 0 comes first."""
+    t, split = _tree(ws), _split(ws, wid)
     sides = None
-    if count == 2:
-        a = frozenset(v for v in range(ws.complex.nv) if label[v] == 0)
-        b = frozenset(v for v in range(ws.complex.nv) if label[v] == 1)
-        sides = (a, b)
-    return ComponentSplit(wid, count, sides)
-
-
-def _side_labels(ws: WallSystem, wid: int) -> list[int] | None:
-    """Cached side labeling (0/1 per vertex) or None when not two-sided."""
-    if wid not in ws._sides_cache:
-        label, count = _component_labels(ws.complex, frozenset(_wall_edges(ws, wid)))
-        ws._sides_cache[wid] = label if count == 2 else None
-    return ws._sides_cache[wid]
-
-
-@dataclass
-class SpanningForest:
-    """A BFS spanning forest of the 1-skeleton.
-
-    Vertex x lies in the subtree of y iff ``tin[y] <= tin[x] < tout[y]``.
-    Deleting k tree edges cuts the forest into ``roots + k`` pieces, and the
-    non-tree edges are the only other links between them.  Per-vertex data
-    is kept in arrays: on a Cayley ball a list would hold one int object
-    per entry.
-    """
-
-    edges: list[tuple[int, int]]
-    parent_edge: array                         # vertex -> tree edge to its parent, -1 at a root
-    tin: array
-    tout: array
-    roots: int
-    nontree: list[tuple[int, int, int, int]]  # (eid, u, v, root of their tree)
-    covered: set[int]                          # tree edges on some non-tree edge's cycle
-
-    def tree_child(self, eid: int) -> int:
-        """The lower end of tree edge eid, or -1 for a non-tree edge."""
-        u, v = self.edges[eid]
-        if self.parent_edge[v] == eid:
-            return v
-        if self.parent_edge[u] == eid:
-            return u
-        return -1
-
-    def is_bridge(self, eid: int) -> bool:
-        return eid not in self.covered and self.tree_child(eid) >= 0
-
-
-def spanning_forest(c: Complex) -> SpanningForest:
-    adj = c.adjacency()
-    parent = array("l", [-1]) * c.nv
-    parent_edge = array("l", [-1]) * c.nv
-    seen = bytearray(c.nv)
-    order: list[int] = []
-    roots = 0
-    for r in range(c.nv):
-        if seen[r]:
-            continue
-        roots += 1
-        seen[r] = 1
-        head = len(order)
-        order.append(r)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v, eid in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    parent[v] = u
-                    parent_edge[v] = eid
-                    order.append(v)
-    size = array("l", [1]) * c.nv
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    # preorder numbering: parents come first in BFS order, and each child
-    # takes the next free slot of its parent's interval; once every child
-    # is placed, a vertex's next free slot is the end of its interval
-    tin = array("l", [0]) * c.nv
-    tout = array("l", [0]) * c.nv
-    t = 0
-    for v in order:
-        p = parent[v]
-        if p < 0:
-            tin[v] = t
-            t += size[v]
-        else:
-            tin[v] = tout[p]
-            tout[p] += size[v]
-        tout[v] = tin[v] + 1
-    f = SpanningForest(c.edges, parent_edge, tin, tout, roots, [], set())
-    for eid, (u, v) in enumerate(c.edges):
-        if f.tree_child(eid) >= 0:
-            continue
-        # mark the tree path u .. lca .. v of the edge's fundamental cycle
-        a, b = u, v
-        while not tin[a] <= tin[b] < tout[a]:
-            f.covered.add(parent_edge[a])
-            a = parent[a]
-        while b != a:
-            f.covered.add(parent_edge[b])
-            b = parent[b]
-        while parent[a] >= 0:
-            a = parent[a]
-        f.nontree.append((eid, u, v, a))
-    return f
-
-
-def _forest(ws: WallSystem) -> SpanningForest:
-    if ws._forest is None:
-        ws._forest = spanning_forest(ws.complex)
-    return ws._forest
-
-
-def _component_count(f: SpanningForest, edge_ids: tuple[int, ...]) -> int:
-    """Components of the 1-skeleton minus edge_ids, from the forest pieces."""
-    removed = set(edge_ids)
-    # top vertex of each piece cut off by a removed tree edge
-    cuts = [x for x in map(f.tree_child, edge_ids) if x >= 0]
-    tin, tout = f.tin, f.tout
-
-    def piece(x: int, root: int) -> int:
-        top = root
-        for y in cuts:
-            if tin[top] < tin[y] <= tin[x] < tout[y]:
-                top = y
-        return top
-
-    link: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while x in link:
-            x = link[x]
-        return x
-
-    merged = 0
-    for eid, u, v, root in f.nontree:
-        if eid in removed:
-            continue
-        a, b = find(piece(u, root)), find(piece(v, root))
-        if a != b:
-            link[a] = b
-            merged += 1
-    return f.roots + len(cuts) - merged
+    if split.count == 2:
+        # paint each span with its side, outer spans first so that the spans
+        # nested inside them overwrite them
+        side = bytearray(len(t.pre))
+        for lo, hi, s in split.spans:
+            side[lo:hi] = bytes([s]) * (hi - lo)
+        far = frozenset(compress(t.pre, side))
+        sides = (frozenset(t.pre) - far, far)
+    return ComponentSplit(wid, split.count, sides)
 
 
 def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> dict[int, ComponentSplit]:
-    """Batch two-sidedness from one spanning forest per wall system: a
-    singleton wall separates iff its edge is a bridge, and a larger wall's
-    component count joins the forest pieces its tree edges cut off along the
-    non-tree edges it keeps."""
-    f = _forest(ws)
-    out: dict[int, ComponentSplit] = {}
-    for wid in (ws.wall_ids() if wall_ids is None else wall_ids):
-        edge_ids = _wall_edges(ws, wid)
-        if len(edge_ids) == 1:
-            count = 2 if f.is_bridge(edge_ids[0]) else 1
-        else:
-            count = _component_count(f, edge_ids)
-        out[wid] = ComponentSplit(wid, count, None)
-    return out
+    """Batch two-sidedness from the wall system's spanning tree: a one-edge
+    wall separates iff its edge is a bridge, and a larger wall's component
+    count joins the tree pieces its tree edges cut off along the non-tree
+    edges it keeps."""
+    _tree(ws)  # a disconnected 1-skeleton raises even when there is no wall
+    return {
+        wid: ComponentSplit(wid, _split(ws, wid).count, None)
+        for wid in (ws.wall_ids() if wall_ids is None else wall_ids)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,34 +506,35 @@ def wall_distance(
 ) -> WallDistance:
     """Number of settled walls separating p from q, with unsettled walls
     counted separately.  Parity mode counts odd crossings of the geodesic
-    (valid on two-sided walls); components mode checks sides.
+    (valid on two-sided walls); components mode compares the sides of each
+    two-sided wall in the spanning tree.
     """
+    if via not in ("parity", "components"):
+        raise BadParams(f"unknown mode {via!r}")
+    t = _tree(ws)
     if p == q:
         return WallDistance(0, 0)
     if via == "parity":
         path = geodesic(ws.complex, p, q)
         return odd_crossings(ws, Counter(ws.wall_of_edge[eid] for eid in path))
-    if via == "components":
-        settled = unsettled = 0
-        for wid in ws.wall_ids():
-            label = _side_labels(ws, wid)
-            if label is None:
-                continue
-            if label[p] != label[q]:
-                if ws.settled[wid]:
-                    settled += 1
-                else:
-                    unsettled += 1
-        return WallDistance(settled, unsettled)
-    raise BadParams(f"unknown mode {via!r}")
+    tp, tq = t.tin[p], t.tin[q]
+    settled = unsettled = 0
+    for wid in ws.wall_ids():
+        split = _split(ws, wid)
+        if split.count == 2 and split.side(tp) != split.side(tq):
+            if ws.settled[wid]:
+                settled += 1
+            else:
+                unsettled += 1
+    return WallDistance(settled, unsettled)
 
 
 def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
     """Side comparison for one wall; None when the wall is not two-sided."""
-    label = _side_labels(ws, wid)
-    if label is None:
+    t, split = _tree(ws), _split(ws, wid)
+    if split.count != 2:
         return None
-    return label[p] != label[q]
+    return split.side(t.tin[p]) != split.side(t.tin[q])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,7 @@ def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
 def dump_walls(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
     lines = []
     for wid in (ws.wall_ids() if wall_ids is None else sorted(wall_ids)):
-        edge_list = ",".join(str(e) for e in ws.walls[wid])
+        edge_list = ",".join(str(e) for e in _wall_edges(ws, wid))
         lines.append(f"wall {wid} settled={int(ws.settled[wid])} edges={edge_list}")
         for cid, e1, e2 in ws.hyperedges[wid]:
             lines.append(f"  hyper {cid} {e1} {e2}")
@@ -559,7 +558,7 @@ def walls_to_dot(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
     for wid in ids:
         out.append(f"  subgraph cluster_w{wid} {{")
         out.append(f'    label="wall {wid}";')
-        for eid in ws.walls[wid]:
+        for eid in _wall_edges(ws, wid):
             u, v = ws.complex.edges[eid]
             out.append(f'    e{eid} [label="e{eid} ({u}-{v})"];')
         for cid, e1, e2 in ws.hyperedges[wid]:

@@ -325,6 +325,29 @@ def brute_force_b6(c, intervals_by_cell) -> bool:
 # -- walls -----------------------------------------------------------------------
 
 
+def component_labels(c, removed: frozenset[int]) -> tuple[list[int], int]:
+    """Component label of each vertex of the 1-skeleton minus the edges in
+    removed, numbered by least vertex, and the number of components (one
+    BFS from each unlabelled vertex)."""
+    label = [-1] * c.nv
+    adj = c.adjacency()
+    count = 0
+    for start in range(c.nv):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        q = deque([start])
+        while q:
+            u = q.popleft()
+            for v, eid in adj[u]:
+                if eid in removed or label[v] >= 0:
+                    continue
+                label[v] = count
+                q.append(v)
+        count += 1
+    return label, count
+
+
 def bridges(c) -> set[int]:
     """Edge ids whose removal disconnects the 1-skeleton (iterative Tarjan)."""
     adj = c.adjacency()

@@ -3,10 +3,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bridges, pairwise_hypercarrier_check
+from oracles import bridges, component_labels, pairwise_hypercarrier_check
 from wallkit.complexes import (
     Complex,
     build_cayley_ball,
@@ -19,8 +19,8 @@ from wallkit.dehn import DehnMachine
 from wallkit.errors import BadParams, OddCell
 from wallkit.presentation import gen_example
 from wallkit.walls import (
+    WallDistance,
     WallSystem,
-    _component_labels,
     build_walls,
     dump_walls,
     hypercarrier,
@@ -146,7 +146,7 @@ def test_bridges_match_naive(ex1):
     adj_edges = list(range(len(ex1.edges)))
     got = bridges(ex1)
     for eid in adj_edges:
-        _, count = _component_labels(ex1, frozenset([eid]))
+        _, count = component_labels(ex1, frozenset([eid]))
         assert (eid in got) == (count == 2)
 
 
@@ -174,10 +174,29 @@ def test_two_sidedness_counts_match_component_labels(build):
     # a component BFS per wall costs ~5 ms on the 13,107-vertex ball: there
     # it runs on every multi-edge wall and a sample of the singletons, which
     # the bridge oracle above covers in full
+    every = c.nv < 5000
     checked = [wid for wid in ws.wall_ids() if len(ws.walls[wid]) > 1]
-    checked += singles if c.nv < 5000 else random.Random(5).sample(singles, 300)
+    checked += singles if every else random.Random(5).sample(singles, 300)
+    rng = random.Random(6)
+    pairs = [tuple(rng.sample(range(c.nv), 2)) for _ in range(40)]
+    want_dw = [[0, 0] for _ in pairs]  # (settled, unsettled) walls that separate each pair
     for wid in checked:
-        assert rep[wid].component_count == _component_labels(c, frozenset(ws.walls[wid]))[1], wid
+        label, count = component_labels(c, frozenset(ws.walls[wid]))
+        assert rep[wid].component_count == count, wid
+        split = wall_components(ws, wid)
+        assert split.component_count == count, wid
+        if count == 2:
+            far = frozenset(itertools.compress(range(c.nv), label))
+            assert split.sides == (frozenset(range(c.nv)) - far, far), wid
+        else:
+            assert split.sides is None, wid
+        for i, (p, q) in enumerate(pairs):
+            assert separates(ws, wid, p, q) == (label[p] != label[q] if count == 2 else None), (wid, p, q)
+            if count == 2 and label[p] != label[q]:
+                want_dw[i][0 if ws.settled[wid] else 1] += 1
+    if every:
+        for (p, q), (settled, unsettled) in zip(pairs, want_dw):
+            assert wall_distance(ws, p, q, via="components") == WallDistance(settled, unsettled), (p, q)
 
 
 @st.composite
@@ -196,22 +215,39 @@ def _graph_with_walls(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_graph_with_walls())
+@example((Complex([(0, 1), (2, 3), (2, 3)], [], 4), [0, 1, 1]))
 def test_two_sidedness_counts_match_component_labels_random(graph):
     # the wall system is built by hand: random edge subsets stand in for walls
     c, labels = graph
-    connected = _component_labels(c, frozenset())[1] == 1
     groups: dict[int, list[int]] = {}
     for eid, lab in enumerate(labels):
         groups.setdefault(lab, []).append(eid)
     walls = {g[0]: tuple(g) for g in groups.values()}
     wall_of_edge = [groups[lab][0] for lab in labels]
     ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls}, {w: True for w in walls}, None)
+    if component_labels(c, frozenset())[1] > 1:
+        # every wall query reads the spanning tree, which needs a connected 1-skeleton
+        wid = min(walls, default=0)
+        for call in (
+            lambda: build_walls(c),
+            lambda: two_sidedness_report(ws),
+            lambda: wall_components(ws, wid),
+            lambda: separates(ws, wid, 0, 1),
+            lambda: wall_distance(ws, 0, c.nv - 1),
+            lambda: wall_distance(ws, 0, c.nv - 1, via="components"),
+        ):
+            with pytest.raises(BadParams, match="disconnected"):
+                call()
+        return
     rep = two_sidedness_report(ws)
     for wid, edge_ids in walls.items():
-        want = _component_labels(c, frozenset(edge_ids))[1]
-        if len(edge_ids) == 1 and not connected:
-            want = 2 if edge_ids[0] in bridges(c) else 1  # one-edge walls report bridge or not
-        assert rep[wid].component_count == want
+        label, count = component_labels(c, frozenset(edge_ids))
+        assert rep[wid].component_count == count
+        split = wall_components(ws, wid)
+        assert split.component_count == count
+        if count == 2:
+            far = frozenset(itertools.compress(range(c.nv), label))
+            assert split.sides == (frozenset(range(c.nv)) - far, far)
 
 
 def test_truncation_can_break_two_sidedness():
@@ -354,13 +390,17 @@ def test_hypercarrier_witness_is_first_failing_pair():
 
 def test_unknown_wall_id_is_bad_params(ex1):
     ws = build_walls(ex1)
-    for call in (
-        lambda: hypercarrier(ws, 10**6),
-        lambda: hypercarrier_check(ws, 10**6),
-        lambda: two_sidedness_report(ws, wall_ids=[10**6]),
-        lambda: separates(ws, 10**6, 0, 1),
+    for call, message in (
+        (lambda: hypercarrier(ws, 10**6), "no wall"),
+        (lambda: hypercarrier_check(ws, 10**6), "no wall"),
+        (lambda: two_sidedness_report(ws, wall_ids=[10**6]), "no wall"),
+        (lambda: separates(ws, 10**6, 0, 1), "no wall"),
+        (lambda: wall_components(ws, 10**6), "no wall"),
+        (lambda: dump_walls(ws, [10**6]), "no wall"),
+        (lambda: walls_to_dot(ws, [10**6]), "no wall"),
+        (lambda: wall_distance(ws, 0, 0, via="bogus"), "unknown mode"),
     ):
-        with pytest.raises(BadParams, match="no wall"):
+        with pytest.raises(BadParams, match=message):
             call()
 
 
