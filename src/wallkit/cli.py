@@ -168,7 +168,7 @@ def cmd_separation(args) -> int:
                 rng = random.Random(cfg.seed)
                 k = min(c.nv, 240)
                 region = sorted(rng.sample(range(c.nv), k))
-                ws = build_walls(c, settled_policy="all")
+                ws.settled = dict.fromkeys(ws.walls, True)
                 region_mode = "auto:intrinsic-sample"
             else:
                 region_mode = "auto:empty-interior"

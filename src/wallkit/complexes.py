@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dehn import DehnMachine, dehn_reduce, is_trivial
+from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
 from .errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
 from .presentation import Presentation, piece_index
-from .words import Word, free_reduce
+from .words import Word, free_reduce, render
 
 Token = tuple[int, int]  # (edge id, direction: +1 traverses stored u->v)
 
@@ -323,19 +323,20 @@ def _ab_residue(vec: tuple[int, ...], basis: list[tuple[int, ...]]) -> tuple[int
     return tuple(v)
 
 
-def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int = 4000) -> list[dict[int, tuple[int, ...]]]:
-    """Random permutation representations killing every relator.
+def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int = 4000) -> dict[int, tuple[int, ...]]:
+    """Each letter's permutation of the disjoint union of the points of up to
+    ``want`` random permutation representations killing every relator.
 
     Used only to bucket candidate vertices during ball construction: merges
     are always re-verified exactly, so these affect speed, not correctness.
     """
+    g = len(p.generators)
+    union: dict[int, list[int]] = {s * (gi + 1): [] for gi in range(g) for s in (1, -1)}
     if not p.relators:
-        return []
+        return {x: () for x in union}
     total_len = sum(len(r) for r in p.relators)
     tries = max(200, min(tries, 4_000_000 // max(1, total_len)))
     rng = random.Random(seed)
-    g = len(p.generators)
-    homs: list[dict[int, tuple[int, ...]]] = []
     seen = set()
     for _ in range(tries):
         m = rng.choice((6, 7, 8, 9))
@@ -364,10 +365,12 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
             key = tuple(table[gi + 1] for gi in range(g))
             if key not in seen:
                 seen.add(key)
-                homs.append(table)
-                if len(homs) >= want:
+                for x, perm in table.items():
+                    offset = len(union[x])
+                    union[x].extend(offset + s for s in perm)
+                if len(seen) >= want:
                     break
-    return homs
+    return {x: tuple(perm) for x, perm in union.items()}
 
 
 def build_cayley_ball(
@@ -377,72 +380,51 @@ def build_cayley_ball(
     *,
     vertex_budget: int = 500_000,
     seed: int = 0,
-    force_subdivide: bool = False,
 ) -> Complex:
     """Ball of the Cayley complex: vertices are shortlex normal forms at
     distance <= radius, edges are generator moves between them, cells are
     relator cycles lying entirely inside the ball.
 
-    Auto-subdivides if any attached cell has odd length; force_subdivide
-    subdivides unconditionally.
+    A candidate move w*x lands on the vertex whose word is the Dehn
+    reduction of w*x, or else on a vertex that shares its bucket key (its
+    image in a few finite quotients and its abelianization class) and that
+    Dehn's algorithm proves equal to it.  The seed picks the quotients, so
+    it changes how many candidates are probed, never the ball.
+
+    Auto-subdivides if any attached cell has odd length.
     """
     if radius < 1:
         raise BadParams("radius must be >= 1")
     if not m.small_cancellation_ok:
         raise NotSmallCancellation("ball construction requires the 1/6 piece condition")
     g = len(p.generators)
-    letters = [s * (gi + 1) for gi in range(g) for s in (1, -1)]
-    # shortlex letter order: a < a^-1 < b < b^-1 < ...
-    letters.sort(key=lambda x: 2 * (abs(x) - 1) + (0 if x > 0 else 1))
-
-    homs = _find_finite_quotients(p, seed)
+    letters = sorted((s * (gi + 1) for gi in range(g) for s in (1, -1)), key=letter_rank)
+    perms = _find_finite_quotients(p, seed)
     ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
-    is_free = not p.relators
-
-    def hom_step(states: tuple, letter: int) -> tuple:
-        return tuple(
-            tuple(table[letter][s] for s in state) for state, table in zip(states, homs)
-        )
-
-    def key_of(states: tuple, ab: tuple[int, ...]) -> tuple:
-        return (states, _ab_residue(ab, ab_basis))
 
     start = Word()
     verts: list[Word] = [start]
     vid_of: dict[Word, int] = {start: 0}
-    hom_states: list[tuple] = [tuple(tuple(range(len(h[1]))) for h in homs)]
-    ab_vecs: list[tuple[int, ...]] = [(0,) * g]
+    # bucket key: (image of the quotients' points, abelian residue)
+    points = len(next(iter(perms.values()), ()))
+    keys: list[tuple] = [(tuple(range(points)), (0,) * g)]
+    buckets: dict[tuple, list[int]] = {keys[0]: [0]}
     dist = [0]
-    buckets: dict[tuple, list[int]] = {}
-    if not is_free:
-        buckets.setdefault(key_of(hom_states[0], ab_vecs[0]), []).append(0)
 
-    edge_ids: dict[tuple[int, int, int], int] = {}
     edges: list[tuple[int, int]] = []
     edge_gens: dict[int, int] = {}
+    out_map: dict[tuple[int, int], tuple[int, int]] = {}  # (vertex, letter) -> (vertex, edge)
 
     def add_edge(u: int, x: int, v: int):
-        # u * letter(x) = v ; store with the positive letter direction
-        if x > 0:
-            a, bb, gen = u, v, x - 1
-        else:
-            a, bb, gen = v, u, -x - 1
-        key = (a, bb, gen)
-        if key not in edge_ids:
-            edge_ids[key] = len(edges)
-            edges.append((a, bb))
-            edge_gens[len(edges) - 1] = gen
-
-    def identify(word: Word, states: tuple, ab: tuple[int, ...]) -> int | None:
-        hit = vid_of.get(word)
-        if hit is not None:
-            return hit
-        if is_free:
-            return None
-        for v in buckets.get(key_of(states, ab), ()):
-            if is_trivial(free_reduce(Word(tuple(word) + tuple(verts[v].inverse()))), m):
-                return v
-        return None
+        # u * letter(x) = v, stored in the positive letter direction; the
+        # move v * letter(-x) = u is recorded with it
+        if (u, x) in out_map:
+            return
+        eid = len(edges)
+        edges.append((u, v) if x > 0 else (v, u))
+        edge_gens[eid] = abs(x) - 1
+        out_map[(u, x)] = (v, eid)
+        out_map[(v, -x)] = (u, eid)
 
     # The last pass (level == radius) adds no vertex: it only closes edges
     # among the boundary vertices, and a move that meets no vertex leaves
@@ -452,19 +434,21 @@ def build_cayley_ball(
         nxt: list[int] = []
         for u in frontier:
             wu = verts[u]
+            image, residue = keys[u]
             for x in letters:
                 if wu and wu[-1] == -x:
-                    # backtrack along the tree: edge to the prefix vertex
-                    parent = vid_of[Word(wu[:-1])]
-                    add_edge(u, x, parent)
-                    continue
-                cand = Word(tuple(wu) + (x,))
-                states = hom_step(hom_states[u], x)
-                ab = list(ab_vecs[u])
+                    continue  # the tree edge back to the prefix vertex exists
+                cand = Word(wu + (x,))
+                ab = list(residue)
                 ab[abs(x) - 1] += 1 if x > 0 else -1
-                ab = tuple(ab)
-                reduced = dehn_reduce(cand, m) if not is_free else cand
-                v = identify(reduced, states, ab)
+                key = (tuple(map(perms[x].__getitem__, image)), _ab_residue(ab, ab_basis))
+                reduced = dehn_reduce(cand, m)
+                v = vid_of.get(reduced)
+                if v is None and p.relators:
+                    for b in buckets.get(key, ()):
+                        if is_trivial(free_reduce(Word(reduced + verts[b].inverse())), m):
+                            v = b
+                            break
                 if v is None:
                     if level == radius:
                         continue
@@ -473,47 +457,39 @@ def build_cayley_ball(
                     v = len(verts)
                     verts.append(cand)
                     vid_of[cand] = v
-                    hom_states.append(states)
-                    ab_vecs.append(ab)
+                    keys.append(key)
                     dist.append(level + 1)
-                    if not is_free:
-                        buckets.setdefault(key_of(states, ab), []).append(v)
+                    buckets.setdefault(key, []).append(v)
                     nxt.append(v)
                 add_edge(u, x, v)
         frontier = nxt
 
     # attach relator cells whose whole boundary lies in the ball
-    out_map: dict[tuple[int, int], tuple[int, int]] = {}
-    for eid, (u, v) in enumerate(edges):
-        gen = edge_gens[eid]
-        out_map[(u, gen + 1)] = (v, eid)
-        out_map[(v, -(gen + 1))] = (u, eid)
     cells: list[tuple[Token, ...]] = []
     seen_cells: set[frozenset[int]] = set()
-    for rid, r in enumerate(p.relators):
+    for r in p.relators:
         for v0 in range(len(verts)):
             cur = v0
             toks: list[Token] = []
-            ok = True
             for letter in r:
                 step = out_map.get((cur, letter))
                 if step is None:
-                    ok = False
                     break
                 nbr, eid = step
                 toks.append((eid, 1 if edges[eid][0] == cur else -1))
                 cur = nbr
-            if ok and cur == v0:
-                key = frozenset(eid for eid, _ in toks)
-                if key not in seen_cells:
-                    seen_cells.add(key)
-                    cells.append(tuple(toks))
+            else:
+                if cur == v0:
+                    key = frozenset(eid for eid, _ in toks)
+                    if key not in seen_cells:
+                        seen_cells.add(key)
+                        cells.append(tuple(toks))
 
     c = Complex(
         edges,
         cells,
         len(verts),
-        vertex_labels={vid: _label(w, p.generators) for vid, w in enumerate(verts)},
+        vertex_labels={vid: render(w, p.generators) for vid, w in enumerate(verts)},
         edge_gens=edge_gens,
         origin="cayley-ball",
         radius=radius,
@@ -522,7 +498,7 @@ def build_cayley_ball(
         generator_names=p.generators,
     )
     c.validate()
-    if force_subdivide or c.has_odd_cell():
+    if c.has_odd_cell():
         return subdivide(c)
     return c
 
@@ -532,12 +508,6 @@ def _ab_vector(w: Word, g: int) -> tuple[int, ...]:
     for x in w:
         v[abs(x) - 1] += 1 if x > 0 else -1
     return tuple(v)
-
-
-def _label(w: Word, names: tuple[str, ...]) -> str:
-    from .words import render
-
-    return render(w, names)
 
 
 def boundary_word(c: Complex, cid: int) -> Word:
@@ -649,12 +619,9 @@ def check_B6(c: Complex, lam: Fraction | None = None) -> B6Report:
                     reach1[s] = max(reach1[s], min(rep + length, s + L))
         reach_prev = reach1
         for _ in range(2):  # lift to <=2 then <=3 pieces
-            nxt = list(reach_prev)
-            for s in range(2 * L + 1):
-                for t in range(s + 1, min(reach1[s], 2 * L) + 1):
-                    if reach_prev[t] > nxt[s]:
-                        nxt[s] = min(reach_prev[t], s + L)
-            reach_prev = nxt
+            # every reach array is nondecreasing in s, so the best next piece
+            # starts where the first one reaches
+            reach_prev = [min(reach_prev[min(reach1[s], 2 * L)], s + L) for s in range(2 * L + 1)]
         span = max(reach_prev[s] - s for s in range(L))
         smax = max(range(L), key=lambda s: reach_prev[s] - s)
         max_piece = max((length for _, length in intervals[cid]), default=0)

@@ -48,7 +48,6 @@ class DehnMachine:
                 f"symmetrized index needs ~{index_size} nodes; raise the node budget to allow it"
             )
         self.symmetrized = tuple(sorted(symmetrize(presentation.relators))) if presentation.relators else ()
-        self.half_lengths = {r: -(-len(r) // 2) for r in self.symmetrized}
         self.small_cancellation_ok = True
         if presentation.relators:
             report = check_small_cancellation(presentation, Fraction(1, 6))

@@ -342,8 +342,6 @@ class PairRow:
     ratio: Fraction
     settled: bool
     in_a_count: int
-    unsettled_dw: int
-    unsettled_touching: int
 
 
 @dataclass
@@ -388,17 +386,12 @@ def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) ->
             dq, dq_of = c.bfs_distances(q), q
         d = dq[p]
         crossings = Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q, dq))
-        dw = odd_crossings(ws, crossings)
-        touching = sum(1 for w in crossings if not ws.settled[w])
+        dw = odd_crossings(ws, crossings).settled_count
+        settled = all(ws.settled[w] for w in crossings)
         # A geodesic repeats no edge, so each wall crossed once marks one
         # single-crossing edge.
         single = sum(1 for k in crossings.values() if k == 1)
-        rows.append(
-            PairRow(
-                p, q, d, dw.settled_count, Fraction(dw.settled_count, d), touching == 0,
-                single, dw.unsettled_count, touching,
-            )
-        )
+        rows.append(PairRow(p, q, d, dw, Fraction(dw, d), settled, single))
     return rows
 
 

@@ -47,7 +47,6 @@ class WallSystem:
     walls: dict[int, tuple[int, ...]]            # wall id -> sorted edge ids
     hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
     settled: dict[int, bool]
-    settled_margin: int | None
     _tree: SpanningTree | None = field(default=None, repr=False)
     _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
 
@@ -63,6 +62,15 @@ def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
     if edge_ids is None:
         raise BadParams(f"no wall {wid}")
     return edge_ids
+
+
+def _tin(ws: WallSystem, v: int) -> int:
+    """Preorder position of vertex v in the spanning tree; BadParams
+    outside 0..nv-1."""
+    t = _tree(ws)
+    if not 0 <= v < ws.complex.nv:
+        raise BadParams(f"no vertex {v}: ids run 0..{ws.complex.nv - 1}")
+    return t.tin[v]
 
 
 def _opposite_classes(
@@ -112,12 +120,8 @@ def build_walls(
             raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
     wall_of_edge, walls, hyper = _opposite_classes(c)
     settled: dict[int, bool] = {}
-    if settled_policy == "all":
+    if settled_policy == "all" or c.dist is None or c.radius is None:
         settled = {wid: True for wid in walls}
-        margin = None
-    elif c.dist is None or c.radius is None:
-        settled = {wid: True for wid in walls}
-        margin = None
     else:
         margin = settled_margin
         if margin is None:
@@ -133,15 +137,7 @@ def build_walls(
             settled[wid] = all(c.dist[v] <= cutoff for v in verts)
     # built once the partition's temporaries are gone, to keep the peak down
     tree = spanning_tree(c)
-    return WallSystem(
-        c,
-        wall_of_edge,
-        walls,
-        hyper,
-        settled,
-        margin if settled_policy == "margin" else None,
-        tree,
-    )
+    return WallSystem(c, wall_of_edge, walls, hyper, settled, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +507,12 @@ def wall_distance(
     """
     if via not in ("parity", "components"):
         raise BadParams(f"unknown mode {via!r}")
-    t = _tree(ws)
+    tp, tq = _tin(ws, p), _tin(ws, q)
     if p == q:
         return WallDistance(0, 0)
     if via == "parity":
         path = geodesic(ws.complex, p, q)
         return odd_crossings(ws, Counter(ws.wall_of_edge[eid] for eid in path))
-    tp, tq = t.tin[p], t.tin[q]
     settled = unsettled = 0
     for wid in ws.wall_ids():
         split = _split(ws, wid)
@@ -531,10 +526,11 @@ def wall_distance(
 
 def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
     """Side comparison for one wall; None when the wall is not two-sided."""
-    t, split = _tree(ws), _split(ws, wid)
+    split = _split(ws, wid)
+    tp, tq = _tin(ws, p), _tin(ws, q)
     if split.count != 2:
         return None
-    return split.side(t.tin[p]) != split.side(t.tin[q])
+    return split.side(tp) != split.side(tq)
 
 
 # ---------------------------------------------------------------------------

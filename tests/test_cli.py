@@ -116,6 +116,21 @@ def test_separation_tv_radius8_auto_region(tmp_path):
     assert summary["passed"] is True
 
 
+def test_intrinsic_sample_builds_walls_once(tmp_path, monkeypatch):
+    # the fallback settles every wall of the wall system it already has
+    import wallkit.cli as cli
+
+    calls = []
+    build_walls = cli.build_walls
+    monkeypatch.setattr(cli, "build_walls", lambda *a, **kw: calls.append(kw) or build_walls(*a, **kw))
+    argv = ["separation", "--family", "tv", "--I", "1", "--k", "7", "--radius", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["region"] == "auto:intrinsic-sample"
+    assert summary["passed"] is True
+    assert len(calls) == 1
+
+
 def test_separation_observe_example1(tmp_path):
     outdir = tmp_path / "obs"
     rc, out, err = run_cli(

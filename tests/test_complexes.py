@@ -1,9 +1,11 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf
+from wallkit import complexes
 from wallkit.complexes import (
     Complex,
     boundary_word,
@@ -17,9 +19,9 @@ from wallkit.complexes import (
     subdivide,
     validity_summary,
 )
-from wallkit.dehn import DehnMachine, iter_reduced_words
+from wallkit.dehn import DehnMachine, is_trivial, iter_reduced_words
 from wallkit.errors import BadParams, NotSmallCancellation, ParseError
-from wallkit.presentation import gen_example
+from wallkit.presentation import Presentation, gen_example, parse_presentation
 from wallkit.words import Word, symmetrize
 
 
@@ -95,6 +97,44 @@ def test_ball_seed_independence(one):
     assert a.vertex_labels == b.vertex_labels
 
 
+# sha256 of save_complex(c) + repr(c.dist), and the number of is_trivial
+# calls (Dehn probes of bucket mates) made while building, recorded before
+# each vertex's quotient image and abelian residue were folded into one
+# bucket key.  The probe count depends on the seed; the ball does not.
+BALL_DIGESTS = {
+    "tv12-r8-seed0": ("f0e011f1fcedac45fef6b7a77516edb7027ebed7ab8ec8c3497db8d2e7f1b8a4", 954),
+    "tv12-r8-seed3": ("f0e011f1fcedac45fef6b7a77516edb7027ebed7ab8ec8c3497db8d2e7f1b8a4", 6),
+    "tv1-r7": ("bde674fa17aa6f8a286e2b9518188c4197fae4f4b1df7b33c69d336a01dc26ce", 2),
+    "tv123-r7": ("bde674fa17aa6f8a286e2b9518188c4197fae4f4b1df7b33c69d336a01dc26ce", 2),
+    "free-r4": ("416e249df70340f7aa9a964acef16773ec20eb931575b2f54492399298e2638b", 0),
+    "a9-r5": ("f9d45e715aa2ce4037803b482dc040e1d7aa25f0ba2adaa98ac69d9a8fa5f412", 0),
+    "a-inverse-r2": ("eea4b6daaf5e64a8e69bde4ca69e48fd0eecd5bb96faf84d327f40c7b0f77920", 0),
+}
+BALL_CONFIGS = {
+    "tv12-r8-seed0": (lambda: gen_example("tv", I={1, 2}, k=7), 8, 0),
+    "tv12-r8-seed3": (lambda: gen_example("tv", I={1, 2}, k=7), 8, 3),
+    "tv1-r7": (lambda: gen_example("tv", I={1}, k=7), 7, 0),
+    "tv123-r7": (lambda: gen_example("tv", I={1, 2, 3}, k=7), 7, 0),
+    "free-r4": (lambda: gen_example("free"), 4, 0),
+    # odd relator: the ball is subdivided
+    "a9-r5": (lambda: Presentation(("a", "b"), (Word((1,) * 9),)), 5, 0),
+    # one-letter relator: every a-edge is a loop
+    "a-inverse-r2": (lambda: parse_presentation("gens: a b\nrel: a^-1\n"), 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_CONFIGS))
+def test_ball_matches_recorded_digest(name, monkeypatch):
+    make, radius, seed = BALL_CONFIGS[name]
+    p = make()
+    m = DehnMachine(p)
+    calls = []
+    monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
+    c = build_cayley_ball(p, m, radius, seed=seed)
+    digest = hashlib.sha256((save_complex(c) + repr(c.dist)).encode()).hexdigest()
+    assert (digest, len(calls)) == BALL_DIGESTS[name]
+
+
 def test_tv12_ball_validity():
     tv = gen_example("tv", I={1, 2}, k=7)
     c = build_cayley_ball(tv, DehnMachine(tv), 6)
@@ -129,10 +169,11 @@ def test_subdivide_doubles_distances(ball7):
     assert s.subdivided
 
 
-def test_force_subdivide_flag(one):
-    c = build_cayley_ball(one, DehnMachine(one), 7, force_subdivide=True)
-    assert c.subdivided and c.radius == 14
+def test_subdivided_cayley_ball(one, ball7):
+    c = subdivide(ball7)
+    assert c.subdivided and c.radius == 14 and c.base == 0
     assert all(len(cell) == 28 for cell in c.cells)
+    assert c.dist == [2 * d for d in ball7.dist] + [2 * min(ball7.dist[u], ball7.dist[v]) + 1 for u, v in ball7.edges]
 
 
 def test_odd_relator_ball_auto_subdivides():
@@ -210,6 +251,22 @@ def _two_cycles(arc: int) -> Complex:
     shared = b.chain(u, v, 5)
     b.cell(shared + b.chain(v, u, arc))
     b.cell(shared + b.chain(v, u, arc))
+    return b.done()
+
+
+def _cell_with_neighbours(segments: list[int], arc: int = 9) -> Complex:
+    """A 12-cycle (cell 0) whose consecutive boundary segments, of the given
+    lengths from vertex 0 on, are each shared with one more cell."""
+    from wallkit.complexes import _Builder
+
+    b = _Builder("fixture")
+    ring = [b.vertex() for _ in range(12)]
+    toks = [(b.edge(ring[i], ring[(i + 1) % 12]), 1) for i in range(12)]
+    b.cell(toks)
+    start = 0
+    for n in segments:
+        b.cell(toks[start:start + n] + b.chain(ring[start + n], ring[start], arc))
+        start += n
     return b.done()
 
 
@@ -351,6 +408,22 @@ def test_b6_failure_witness():
         for occ in (pc.occ1, pc.occ2):
             intervals.setdefault(occ.cell, []).append((occ.start, occ.length))
     assert not brute_force_b6(c, intervals)
+
+
+@pytest.mark.parametrize("segments, span", [([2, 2, 3], 7), ([2, 2, 2], 6), ([3, 3], 6)])
+def test_b6_spans_three_consecutive_pieces(segments, span):
+    # on the 12-cycle any two of the pieces 2, 2, 3 span at most 5, but all
+    # three span 7 > 12 / 2
+    c = _cell_with_neighbours(segments)
+    rep = check_B6(c)
+    assert rep.cells[0].max_three_piece_span == span
+    assert rep.b6_passed == (2 * span <= 12)
+    assert rep.witness == (None if rep.b6_passed else (0, 0, span))
+    intervals = {}
+    for pc in rep.pieces:
+        for occ in (pc.occ1, pc.occ2):
+            intervals.setdefault(occ.cell, []).append((occ.start, occ.length))
+    assert brute_force_b6(c, intervals) == rep.b6_passed
 
 
 # check_B6 fields recorded before cell pieces came from the presentation

@@ -224,7 +224,7 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
         groups.setdefault(lab, []).append(eid)
     walls = {g[0]: tuple(g) for g in groups.values()}
     wall_of_edge = [groups[lab][0] for lab in labels]
-    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls}, {w: True for w in walls}, None)
+    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls}, {w: True for w in walls})
     if component_labels(c, frozenset())[1] > 1:
         # every wall query reads the spanning tree, which needs a connected 1-skeleton
         wid = min(walls, default=0)
@@ -399,6 +399,12 @@ def test_unknown_wall_id_is_bad_params(ex1):
         (lambda: dump_walls(ws, [10**6]), "no wall"),
         (lambda: walls_to_dot(ws, [10**6]), "no wall"),
         (lambda: wall_distance(ws, 0, 0, via="bogus"), "unknown mode"),
+        (lambda: separates(ws, 0, -1, 0), "no vertex -1"),
+        (lambda: separates(ws, 0, 0, ex1.nv), f"no vertex {ex1.nv}"),
+        (lambda: wall_distance(ws, -1, 0), "no vertex -1"),
+        (lambda: wall_distance(ws, -1, 0, via="components"), "no vertex -1"),
+        (lambda: wall_distance(ws, 0, ex1.nv), f"no vertex {ex1.nv}"),
+        (lambda: wall_distance(ws, ex1.nv, ex1.nv, via="components"), f"no vertex {ex1.nv}"),
     ):
         with pytest.raises(BadParams, match=message):
             call()
