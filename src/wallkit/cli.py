@@ -28,6 +28,7 @@ from .dehn import DEFAULT_NODE_BUDGET, DehnMachine, dehn_reduce, env_budget, sho
 from .errors import BudgetExceeded, ParseError, WallkitError
 from .presentation import Presentation, check_small_cancellation, gen_example, parse_presentation
 from .separation import (
+    admissible_lambda,
     default_region,
     report_to_csv,
     report_to_json,
@@ -142,6 +143,7 @@ def cmd_separation(args) -> int:
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,
     )
+    admissible_lambda(cfg.lam)
     if cfg.out_dir:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
 from .errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
 from .presentation import Presentation, piece_index
-from .words import Word, free_reduce, render
+from .words import Word, render
 
 Token = tuple[int, int]  # (edge id, direction: +1 traverses stored u->v)
 
@@ -446,7 +446,7 @@ def build_cayley_ball(
                 v = vid_of.get(reduced)
                 if v is None and p.relators:
                     for b in buckets.get(key, ()):
-                        if is_trivial(free_reduce(Word(reduced + verts[b].inverse())), m):
+                        if is_trivial(reduced + verts[b].inverse(), m):
                             v = b
                             break
                 if v is None:
@@ -717,7 +717,8 @@ def save_complex(c: Complex) -> str:
     lines.append(f"counts {c.nv} {len(c.edges)} {len(c.cells)}")
     for vid in range(c.nv):
         lab = c.vertex_labels.get(vid)
-        if lab is not None and (" " in lab or not lab):
+        # a label is the rest of its line: one line, no whitespace at the ends
+        if lab is not None and (lab.splitlines() != [lab] or lab != lab.strip()):
             raise ParseError(f"vertex label {lab!r} not serializable")
         lines.append(f"v {vid}" + (f" {lab}" if lab is not None else ""))
     for eid, (u, v) in enumerate(c.edges):
@@ -766,7 +767,7 @@ def load_complex(text: str) -> Complex:
             if not 0 <= vid < nv:
                 raise ParseError(f"line {ln!r} names a vertex outside 0..{nv - 1}")
             if len(parts) > 2:
-                labels[vid] = parts[2]
+                labels[vid] = ln.split(None, 2)[2].strip()
         elif parts[0] == "e":
             eid, u, v = _ints(ln, parts[1:], 3)
             if eid != len(edges):

@@ -10,7 +10,6 @@ deterministic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -27,42 +26,34 @@ def env_budget(default: int) -> int:
     return int(raw) if raw.isdecimal() and int(raw) > 0 else default
 
 
-@dataclass
-class _TrieNode:
-    children: dict[int, "_TrieNode"] = field(default_factory=dict)
-    # (relator length, replacement word) when this prefix covers > half of a
-    # symmetrized relator; the canonically least relator wins on ties.
-    rewrite: tuple[int, Word] | None = None
-    rewrite_key: tuple | None = None
-
-
 class DehnMachine:
-    """Immutable rewrite engine for one presentation."""
+    """Immutable rewrite engine for one presentation.
+
+    The rewrite trie is nested dicts: a node maps each letter to its child
+    and holds its replacement, if any, under key 0, which is never a letter.
+    """
 
     def __init__(self, presentation: Presentation, *, node_budget: int | None = None):
         self.presentation = presentation
-        self.node_budget = env_budget(node_budget if node_budget is not None else DEFAULT_NODE_BUDGET)
+        self.node_budget = node_budget if node_budget is not None else env_budget(DEFAULT_NODE_BUDGET)
         index_size = sum(2 * r.primitive_period() * len(r) for r in presentation.relators)
         if index_size > max(self.node_budget, DEFAULT_NODE_BUDGET):
             raise BudgetExceeded(
                 f"symmetrized index needs ~{index_size} nodes; raise the node budget to allow it"
             )
-        self.symmetrized = tuple(sorted(symmetrize(presentation.relators))) if presentation.relators else ()
-        self.small_cancellation_ok = True
-        if presentation.relators:
-            report = check_small_cancellation(presentation, Fraction(1, 6))
-            self.small_cancellation_ok = report.passed
-        self._root = _TrieNode()
-        for r in self.symmetrized:
+        self.symmetrized = tuple(sorted(symmetrize(presentation.relators)))
+        self.small_cancellation_ok = check_small_cancellation(presentation, Fraction(1, 6)).passed
+        # A prefix covering > half of a symmetrized relator is replaced by the
+        # inverse of the remainder.  Relators go in by (length, word), and a
+        # node keeps the first replacement it gets, so the canonically least
+        # relator wins ties.
+        self._root: dict = {}
+        for r in sorted(self.symmetrized, key=lambda r: (len(r), r)):
             node = self._root
             for depth, letter in enumerate(r, start=1):
-                node = node.children.setdefault(letter, _TrieNode())
-                if 2 * depth > len(r):
-                    repl = Word(r[depth:]).inverse()
-                    cand = (len(r), repl)
-                    if node.rewrite is None or (len(r), tuple(r)) < node.rewrite_key:
-                        node.rewrite = cand
-                        node.rewrite_key = (len(r), tuple(r))
+                node = node.setdefault(letter, {})
+                if 2 * depth > len(r) and 0 not in node:
+                    node[0] = Word(r[depth:]).inverse()
 
     def _require_ok(self):
         if not self.small_cancellation_ok:
@@ -74,14 +65,12 @@ class DehnMachine:
         """(matched length, replacement) for the longest >half match at pos."""
         node = self._root
         best: tuple[int, Word] | None = None
-        depth = 0
         for i in range(pos, len(w)):
-            node = node.children.get(w[i])
+            node = node.get(w[i])
             if node is None:
                 break
-            depth += 1
-            if node.rewrite is not None:
-                best = (depth, node.rewrite[1])
+            if 0 in node:
+                best = (i + 1 - pos, node[0])
         return best
 
 
@@ -89,17 +78,16 @@ def dehn_reduce(w: Word, m: DehnMachine) -> Word:
     """Leftmost-longest Dehn reduction; the result has no >half relator subword."""
     m._require_ok()
     cur = free_reduce(w)
-    while True:
-        hit = None
-        for pos in range(len(cur)):
-            found = m.longest_rewrite_at(cur, pos)
-            if found is not None:
-                hit = (pos, found)
-                break
-        if hit is None:
-            return cur
-        pos, (length, repl) = hit
-        cur = free_reduce(Word(cur[:pos] + tuple(repl) + cur[pos + length:]))
+    pos = 0
+    while pos < len(cur):
+        found = m.longest_rewrite_at(cur, pos)
+        if found is None:
+            pos += 1
+        else:
+            length, repl = found
+            cur = free_reduce(cur[:pos] + repl + cur[pos + length:])
+            pos = 0
+    return cur
 
 
 def is_trivial(w: Word, m: DehnMachine) -> bool:
@@ -107,7 +95,7 @@ def is_trivial(w: Word, m: DehnMachine) -> bool:
 
 
 def is_equal(w1: Word, w2: Word, m: DehnMachine) -> bool:
-    return is_trivial(Word(tuple(w1) + tuple(w2.inverse())), m)
+    return is_trivial(w1 + w2.inverse(), m)
 
 
 def letter_rank(x: int) -> int:
@@ -141,16 +129,13 @@ def shortlex_normal_form(w: Word, m: DehnMachine) -> Word:
     triviality oracle.  Raises BudgetExceeded past the node budget."""
     m._require_ok()
     reduced = dehn_reduce(w, m)
-    if len(reduced) == 0:
-        return reduced
-    if not m.presentation.relators:
+    if not reduced or not m.presentation.relators:
         return reduced
     target_inv = reduced.inverse()
-    count = 0
-    for cand in iter_reduced_words(len(m.presentation.generators), len(reduced)):
-        count += 1
+    words = iter_reduced_words(len(m.presentation.generators), len(reduced))
+    for count, cand in enumerate(words, start=1):
         if count > m.node_budget:
             raise BudgetExceeded(f"shortlex search frontier exceeded {m.node_budget} words")
-        if is_trivial(Word(tuple(cand) + tuple(target_inv)), m):
+        if is_trivial(cand + target_inv, m):
             return cand
     return reduced

@@ -328,6 +328,14 @@ def local_to_global_bound(marked: set[int], intervals: Sequence[Interval], densi
 # -- linear separation harness -----------------------------------------------
 
 
+def admissible_lambda(lam: Fraction) -> Fraction:
+    """lam, if in the theorem's range (0, 1/6]; from ~0.19 on the constant is <= 0."""
+    lam = Fraction(lam)
+    if not 0 < lam <= Fraction(1, 6):
+        raise BadParams(f"lambda {lam} outside (0, 1/6]")
+    return lam
+
+
 def separation_constant(lam: Fraction) -> Fraction:
     lam = Fraction(lam)
     return (1 - 6 * lam + 4 * lam * lam) / (2 - 4 * lam)
@@ -408,11 +416,11 @@ def verify_linear_separation(
     """Compare the wall pseudo-metric against the path metric over all
     vertex pairs in the region.
 
-    Pass requires every settled pair to satisfy dw <= d and dw/d at least
-    the constant; unsettled-pair violations are reported inconclusive, never
-    silently passed.  Observe mode records ratios with no verdict.
+    Pass requires some pair, and every settled pair to satisfy dw <= d and
+    dw/d at least the constant; unsettled-pair violations are reported
+    inconclusive, never silently passed.  Observe mode gives no verdict.
     """
-    lam = Fraction(lam)
+    lam = admissible_lambda(lam)
     if max_pairs is not None and max_pairs < 1:
         raise BadParams(f"max_pairs must be >= 1, got {max_pairs}")
     if not observe and not check_cprime(c, lam):
@@ -431,7 +439,7 @@ def verify_linear_separation(
     mean_ratio = (sum(r.ratio for r in rows) / len(rows)) if rows else None
     violations = [r for r in rows if r.settled and (r.ratio < const or r.dw > r.d)]
     inconclusive = [r for r in rows if not r.settled and (r.ratio < const or r.dw > r.d)]
-    passed = True if observe else (not violations and all(r.dw <= r.d for r in rows))
+    passed = observe or (bool(rows) and not violations and all(r.dw <= r.d for r in rows))
     return SeparationReport(
         lam, const, rows, min_ratio, mean_ratio, len(rows), violations, inconclusive, passed, observe
     )

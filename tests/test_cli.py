@@ -154,6 +154,46 @@ def test_separation_observe_example1(tmp_path):
         assert rows[(a, e)] == (2 * n + 6, 6)
 
 
+def test_separation_rejects_lambda_past_one_sixth(tmp_path, monkeypatch, capsys):
+    # at lambda 1/4 the separation constant is -1/4, so every pair would pass
+    import wallkit.cli as cli
+
+    pres = tmp_path / "ab5.pres"
+    pres.write_text("gens: a b\nrel: (ab)^5\n")
+    monkeypatch.setattr(cli, "build_cayley_ball", lambda *a, **kw: pytest.fail("ball built"))
+    argv = ["separation", "--input", str(pres), "--radius", "6", "--region", "all", "--out", str(tmp_path / "o")]
+    assert main([*argv, "--lambda", "1/4"]) == 2
+    assert "outside (0, 1/6]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main([*argv, "--lambda", "2"]) == 2
+    assert "lambda 2 outside (0, 1)" in capsys.readouterr().err
+
+
+def test_separation_with_no_pairs_fails():
+    # the interior of the radius-7 tv{1} ball is empty: margin 14 > radius 7
+    rc, out, err = run_cli(
+        "separation", "--family", "tv", "--I", "1", "--k", "7", "--radius", "7", "--region", "interior",
+    )
+    assert rc == 1, err
+    assert json.loads(out[: out.rindex("}") + 1])["passed"] is False
+    assert out.splitlines()[-1] == "pairs=0 constant=1/12 min_ratio=n/a FAIL"
+
+
+def test_separation_multi_letter_generators(tmp_path):
+    # vertex labels such as "x1 y1" hold spaces; complex.txt keeps them
+    from wallkit.complexes import load_complex
+
+    pres = tmp_path / "xy.pres"
+    pres.write_text("gens: x1 y1\nrel: (x1 y1)^7\n")
+    outdir = tmp_path / "out"
+    rc, out, err = run_cli("separation", "--input", str(pres), "--radius", "3", "--out", str(outdir))
+    assert rc == 0, err
+    assert json.loads((outdir / "summary.json").read_text())["passed"] is True
+    c = load_complex((outdir / "complex.txt").read_text())
+    assert c.vertex_labels[c.labeled("x1 y1")] == "x1 y1"
+    assert c.labeled("y1^-1 x1^-1") > 0
+
+
 def test_separation_byte_stability(tmp_path):
     args = (
         "separation", "--example", "example2", "--x", "2", "--half-r", "8",
@@ -185,6 +225,11 @@ def test_word_command(pres_files):
 def test_word_budget_exit(pres_files):
     good, _, _ = pres_files
     rc, _, err = run_cli("word", "--input", str(good), "(ab)^4", env={"WALLKIT_BUDGET": "5"})
+    assert rc == 3 and "budget" in err
+    # an explicit --node-budget wins over the environment
+    rc, _, err = run_cli(
+        "word", "--input", str(good), "--node-budget", "5", "(ab)^4", env={"WALLKIT_BUDGET": "1000000"}
+    )
     assert rc == 3 and "budget" in err
 
 

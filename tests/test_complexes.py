@@ -494,16 +494,26 @@ def test_check_b6_matches_recorded_report(name):
 
 
 def test_roundtrip_ball(ball7):
-    text = save_complex(ball7)
-    c2 = load_complex(text)
-    assert c2.nv == ball7.nv
-    assert c2.edges == ball7.edges
-    assert c2.cells == ball7.cells
-    assert c2.vertex_labels == ball7.vertex_labels
-    assert c2.edge_gens == ball7.edge_gens
-    assert c2.dist == ball7.dist
-    assert c2.radius == ball7.radius and c2.base == ball7.base
-    assert save_complex(c2) == text
+    # multi-letter generator names give vertex labels with spaces
+    xy = parse_presentation("gens: x1 y1\nrel: (x1 y1)^7\n")
+    for ball in (ball7, build_cayley_ball(xy, DehnMachine(xy), 3)):
+        text = save_complex(ball)
+        c2 = load_complex(text)
+        assert c2.nv == ball.nv
+        assert c2.edges == ball.edges
+        assert c2.cells == ball.cells
+        assert c2.vertex_labels == ball.vertex_labels
+        assert c2.edge_gens == ball.edge_gens
+        assert c2.dist == ball.dist
+        assert c2.radius == ball.radius and c2.base == ball.base
+        assert save_complex(c2) == text
+    assert "\nv 6 x1 y1\n" in text
+
+
+@pytest.mark.parametrize("label", ["", " a", "a ", "a\nb", "a\rb", "a\x0bb"])
+def test_save_rejects_label_that_is_not_one_trimmed_line(label):
+    with pytest.raises(ParseError, match="not serializable"):
+        save_complex(Complex([(0, 1)], [], 2, {1: label}))
 
 
 def test_roundtrip_example():

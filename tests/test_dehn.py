@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 
@@ -16,7 +17,7 @@ from wallkit.dehn import (
     shortlex_normal_form,
 )
 from wallkit.errors import BudgetExceeded, NotSmallCancellation
-from wallkit.presentation import gen_example
+from wallkit.presentation import gen_example, parse_presentation
 from wallkit.words import Word, free_reduce
 
 
@@ -56,27 +57,67 @@ def test_not_small_cancellation_guard():
         dehn_reduce(bad.word("ab"), m)
 
 
-def test_trie_matches_naive_search(machine, one):
+def test_trie_matches_naive_search(machine):
+    # These relators fail C'(1/6): the prefix a^3 covers more than half of
+    # each, and the trie must pick the shortest, then least, of them.
+    ties = DehnMachine(parse_presentation("gens: a b c\nrel: a^3 b\nrel: a^3 b^-1\nrel: a^3 c^-1 b\n"))
     rng = random.Random(5)
-    sym = machine.symmetrized
-    for _ in range(200):
-        w = free_reduce(Word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 20))))
-        for pos in range(len(w)):
-            naive = None
-            for r in sym:
-                n = 0
-                while pos + n < len(w) and n < len(r) and w[pos + n] == r[n]:
-                    n += 1
-                if 2 * n > len(r):
-                    repl = Word(r[n:]).inverse()
-                    cand = (n, (len(r), tuple(r)), repl)
-                    if naive is None or (-cand[0], cand[1]) < (-naive[0], naive[1]):
-                        naive = cand
-            got = machine.longest_rewrite_at(w, pos)
-            if naive is None:
-                assert got is None
-            else:
-                assert got is not None and got[0] == naive[0] and got[1] == naive[2]
+    for m in (machine, ties):
+        sym = m.symmetrized
+        for _ in range(200):
+            w = free_reduce(Word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 20))))
+            for pos in range(len(w)):
+                naive = None
+                for r in sym:
+                    n = 0
+                    while pos + n < len(w) and n < len(r) and w[pos + n] == r[n]:
+                        n += 1
+                    if 2 * n > len(r):
+                        repl = Word(r[n:]).inverse()
+                        cand = (n, (len(r), tuple(r)), repl)
+                        if naive is None or (-cand[0], cand[1]) < (-naive[0], naive[1]):
+                            naive = cand
+                got = m.longest_rewrite_at(w, pos)
+                if naive is None:
+                    assert got is None
+                else:
+                    assert got is not None and got[0] == naive[0] and got[1] == naive[2]
+
+
+def _relator_products(p, seed, count=20, letters=300):
+    """Seeded words of about `letters` letters: conjugated relator shifts,
+    each followed by one free letter, so most do not reduce to 1."""
+    rng = random.Random(seed)
+    rels = list(p.relators) + [r.inverse() for r in p.relators]
+    out = []
+    for _ in range(count):
+        w = []
+        while len(w) < letters:
+            r = rng.choice(rels)
+            k = rng.randrange(len(r))
+            conj = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))]
+            w += conj + list(r[k:] + r[:k]) + [-x for x in reversed(conj)]
+            w.append(rng.choice((1, -1, 2, -2)))
+        out.append(Word(w))
+    return out
+
+
+# sha256 of the dehn_reduce outputs, recorded before the rewrite trie became
+# nested dicts.  It pins which reduced word the leftmost-longest rule picks,
+# not only whether the word is trivial.
+DEHN_DIGEST = "9b7795daf8750d3d230a2d2172365d757a55c12a476d2a043173e68c54a1c414"
+
+
+def test_dehn_reduce_matches_recorded_digest():
+    h = hashlib.sha256()
+    short = list(iter_reduced_words(2, 8))
+    assert len(short) == 13121
+    for I in ({1, 2}, {1, 2, 3}):
+        p = gen_example("tv", I=I, k=7)
+        m = DehnMachine(p)
+        for w in short + _relator_products(p, len(I)):
+            h.update(repr(tuple(dehn_reduce(w, m))).encode() + b"\n")
+    assert h.hexdigest() == DEHN_DIGEST
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,10 +179,17 @@ def test_shortlex_constant_on_classes(one, machine):
         assert shortlex_normal_form(nf1, machine) == nf1
 
 
-def test_budget(one):
+def test_budget(one, monkeypatch):
     m = DehnMachine(one, node_budget=5)
     with pytest.raises(BudgetExceeded):
         shortlex_normal_form(one.word("(ab)^4"), m)
+    # an explicit budget wins over the environment
+    monkeypatch.setenv("WALLKIT_BUDGET", "1000000")
+    m = DehnMachine(one, node_budget=5)
+    assert m.node_budget == 5
+    with pytest.raises(BudgetExceeded):
+        shortlex_normal_form(one.word("(ab)^4"), m)
+    assert DehnMachine(one).node_budget == 1000000
 
 
 def test_huge_relator_index_guarded():

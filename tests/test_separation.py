@@ -328,10 +328,24 @@ def test_default_region_policies():
     ws = build_walls(c)
     assert default_region(c, ws) == []  # margin 14 > radius 7
     ws_all = build_walls(c, settled_policy="all")
+    region = default_region(c, ws_all)
+    assert region == []
+    rep = verify_linear_separation(c, ws_all, Fraction(1, 6), region=region)
+    assert rep.pair_count == 0 and not rep.passed
+    assert verify_linear_separation(c, ws_all, Fraction(1, 6), region=[], observe=True).passed
     free = gen_example("free")
     t = build_cayley_ball(free, DehnMachine(free), 2)
     wst = build_walls(t)
     assert default_region(t, wst) == list(range(t.nv))
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)])
+def test_lambda_outside_theorem_range_rejected(ex2, lam):
+    c, ws = ex2
+    with pytest.raises(BadParams, match=r"outside \(0, 1/6\]"):
+        verify_linear_separation(c, ws, lam, region=range(4))
+    with pytest.raises(BadParams):
+        verify_linear_separation(c, ws, lam, region=range(4), observe=True)
 
 
 def test_report_formats(ex2):
