@@ -9,6 +9,7 @@ set: two cells attached along the same boundary are the same cell.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -391,6 +392,13 @@ def build_cayley_ball(
     Dehn's algorithm proves equal to it.  The seed picks the quotients, so
     it changes how many candidates are probed, never the ball.
 
+    Identification is exact, so every vertex word is geodesic and hence
+    Dehn-reduced: a >half relator subword of the freely reduced w*x can
+    only be a suffix.  Each vertex keeps the state of the machine's
+    Aho-Corasick automaton after its word, and a move runs Dehn's algorithm
+    only when one step from that state hits such a suffix; otherwise w*x
+    is its own reduction.
+
     Auto-subdivides if any attached cell has odd length.
     """
     if radius < 1:
@@ -402,9 +410,12 @@ def build_cayley_ball(
     perms = _find_finite_quotients(p, seed)
     ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
 
+    delta, hit = m.automaton()
+
     start = Word()
     verts: list[Word] = [start]
     vid_of: dict[Word, int] = {start: 0}
+    state = array("l", [0])  # automaton state after each vertex word
     # bucket key: (image of the quotients' points, abelian residue)
     points = len(next(iter(perms.values()), ()))
     keys: list[tuple] = [(tuple(range(points)), (0,) * g)]
@@ -434,15 +445,17 @@ def build_cayley_ball(
         nxt: list[int] = []
         for u in frontier:
             wu = verts[u]
+            step = delta[state[u]]
             image, residue = keys[u]
             for x in letters:
                 if wu and wu[-1] == -x:
                     continue  # the tree edge back to the prefix vertex exists
-                cand = Word(wu + (x,))
+                s = step[x]
+                cand = wu + (x,)  # a plain tuple until it is needed as a Word
                 ab = list(residue)
                 ab[abs(x) - 1] += 1 if x > 0 else -1
                 key = (tuple(map(perms[x].__getitem__, image)), _ab_residue(ab, ab_basis))
-                reduced = dehn_reduce(cand, m)
+                reduced = dehn_reduce(Word(cand), m) if hit[s] else cand
                 v = vid_of.get(reduced)
                 if v is None and p.relators:
                     for b in buckets.get(key, ()):
@@ -455,8 +468,10 @@ def build_cayley_ball(
                     if len(verts) >= vertex_budget:
                         raise BudgetExceeded(f"vertex budget {vertex_budget} exhausted at radius {level + 1}")
                     v = len(verts)
+                    cand = Word(cand)
                     verts.append(cand)
                     vid_of[cand] = v
+                    state.append(s)
                     keys.append(key)
                     dist.append(level + 1)
                     buckets.setdefault(key, []).append(v)

@@ -54,6 +54,43 @@ class DehnMachine:
                 node = node.setdefault(letter, {})
                 if 2 * depth > len(r) and 0 not in node:
                     node[0] = Word(r[depth:]).inverse()
+        self._automaton: tuple[list[list[int]], list[bool]] | None = None
+
+    def automaton(self) -> tuple[list[list[int]], list[bool]]:
+        """``(delta, hit)``: the Aho-Corasick automaton (Aho-Corasick 1975)
+        of the trie, built on first use.
+
+        States are the trie nodes numbered breadth first, the root 0.  After
+        a text is read, the state is the longest suffix of the text that
+        spells a trie path.  ``delta[s][x]`` is the state after letter x is
+        read in state s; a row has 2g+1 entries, so a negative letter
+        indexes it from the end.  ``hit[s]`` holds when some suffix of the
+        text read covers more than half of a symmetrized relator: the node,
+        or a node on its failure chain, holds a replacement.
+        """
+        if self._automaton is None:
+            g = len(self.presentation.generators)
+            letters = [sign * x for x in range(1, g + 1) for sign in (1, -1)]
+            nodes = [self._root]
+            fail = [0]
+            hit = [False]
+            delta: list[list[int]] = []
+            # Breadth first, so a state's failure target, being shallower,
+            # has its row complete before the state's own row is copied.
+            # Until a child overwrites it, row[x] is where x leads from the
+            # failure target: the child's own failure target.
+            for s, node in enumerate(nodes):
+                row = list(delta[fail[s]]) if s else [0] * (2 * g + 1)
+                for x in letters:
+                    child = node.get(x)
+                    if child is not None:
+                        fail.append(row[x])
+                        hit.append(0 in child or hit[row[x]])
+                        row[x] = len(nodes)
+                        nodes.append(child)
+                delta.append(row)
+            self._automaton = (delta, hit)
+        return self._automaton
 
     def _require_ok(self):
         if not self.small_cancellation_ok:

@@ -416,9 +416,10 @@ def verify_linear_separation(
     """Compare the wall pseudo-metric against the path metric over all
     vertex pairs in the region.
 
-    Pass requires some pair, and every settled pair to satisfy dw <= d and
-    dw/d at least the constant; unsettled-pair violations are reported
-    inconclusive, never silently passed.  Observe mode gives no verdict.
+    Pass requires some settled pair, and every settled pair to satisfy
+    dw <= d and dw/d at least the constant; unsettled-pair violations are
+    reported inconclusive, never silently passed, and a sweep with no
+    settled pair checks nothing, so it fails.  Observe mode gives no verdict.
     """
     lam = admissible_lambda(lam)
     if max_pairs is not None and max_pairs < 1:
@@ -439,7 +440,7 @@ def verify_linear_separation(
     mean_ratio = (sum(r.ratio for r in rows) / len(rows)) if rows else None
     violations = [r for r in rows if r.settled and (r.ratio < const or r.dw > r.d)]
     inconclusive = [r for r in rows if not r.settled and (r.ratio < const or r.dw > r.d)]
-    passed = observe or (bool(rows) and not violations and all(r.dw <= r.d for r in rows))
+    passed = observe or (any(r.settled for r in rows) and not violations and all(r.dw <= r.d for r in rows))
     return SeparationReport(
         lam, const, rows, min_ratio, mean_ratio, len(rows), violations, inconclusive, passed, observe
     )

@@ -167,6 +167,27 @@ def brute_force_cprime(p: Presentation, lam: Fraction) -> bool:
     return all(Fraction(max_by[rid]) < lam * len(r) for rid, r in enumerate(p.relators))
 
 
+# -- >half relator suffixes ----------------------------------------------------
+
+
+def half_relator_prefixes(relators) -> set[tuple]:
+    """Every prefix longer than half of a cyclic shift of a relator or of its
+    inverse, by listing each shift."""
+    out: set[tuple] = set()
+    for r in relators:
+        for v in (tuple(r), tuple(-x for x in reversed(r))):
+            for k in range(len(v)):
+                rot = v[k:] + v[:k]
+                out.update(rot[:n] for n in range(len(rot) // 2 + 1, len(rot) + 1))
+    return out
+
+
+def completes_half_relator(w, prefixes: set[tuple]) -> bool:
+    """Whether some suffix of w is one of ``half_relator_prefixes``."""
+    w = tuple(w)
+    return any(w[i:] in prefixes for i in range(len(w)))
+
+
 # -- free-product normal form for one-relator powers ---------------------------
 
 

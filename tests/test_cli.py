@@ -179,6 +179,22 @@ def test_separation_with_no_pairs_fails():
     assert out.splitlines()[-1] == "pairs=0 constant=1/12 min_ratio=n/a FAIL"
 
 
+def test_separation_with_no_settled_pair_fails(tmp_path):
+    # On the radius-6 ball of <a, b | (ab)^5> every sampled pair crosses a
+    # wall that may be a truncation artifact, so no pair is checked against
+    # the bound and the sweep must not pass.
+    pres = tmp_path / "ab5.pres"
+    pres.write_text("gens: a b\nrel: (ab)^5\n")
+    rc, out, err = run_cli(
+        "separation", "--input", str(pres), "--radius", "6", "--region", "all", "--max-pairs", "50",
+    )
+    assert rc == 1, err
+    summary = json.loads(out[: out.rindex("}") + 1])
+    assert summary["pairs"] == 50 and summary["passed"] is False
+    assert len(summary["inconclusive"]) == 50
+    assert out.splitlines()[-1].endswith(" FAIL")
+
+
 def test_separation_multi_letter_generators(tmp_path):
     # vertex labels such as "x1 y1" hold spaces; complex.txt keeps them
     from wallkit.complexes import load_complex
@@ -310,6 +326,12 @@ def test_main_callable_directly(tmp_path):
     # in-process entry point honors the same contract
     assert main(["examples"]) == 0
     assert main(["check", "--input", str(tmp_path / "missing.pres")]) == 2
+
+
+def test_python_m_wallkit_runs_the_cli():
+    r = subprocess.run([sys.executable, "-m", "wallkit", "--help"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: wallkit")
 
 
 def test_unknown_args_exit_input():

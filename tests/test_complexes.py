@@ -19,7 +19,7 @@ from wallkit.complexes import (
     subdivide,
     validity_summary,
 )
-from wallkit.dehn import DehnMachine, is_trivial, iter_reduced_words
+from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
 from wallkit.errors import BadParams, NotSmallCancellation, ParseError
 from wallkit.presentation import Presentation, gen_example, parse_presentation
 from wallkit.words import Word, symmetrize
@@ -133,6 +133,45 @@ def test_ball_matches_recorded_digest(name, monkeypatch):
     c = build_cayley_ball(p, m, radius, seed=seed)
     digest = hashlib.sha256((save_complex(c) + repr(c.dist)).encode()).hexdigest()
     assert (digest, len(calls)) == BALL_DIGESTS[name]
+
+
+# Direct dehn_reduce calls while building the tv{1,2} k=7 ball: one per
+# move whose automaton step hits a >half relator suffix.  Every other move
+# w*x is already reduced.  The count does not depend on the seed.
+@pytest.mark.parametrize("radius, calls", [(8, 6), (9, 18)])
+def test_ball_runs_dehn_only_on_automaton_hits(radius, calls, monkeypatch):
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    seen = []
+    monkeypatch.setattr(complexes, "dehn_reduce", lambda w, m: seen.append(w) or dehn_reduce(w, m))
+    build_cayley_ball(p, m, radius)
+    assert len(seen) == calls
+    assert all(len(dehn_reduce(w, m)) < len(w) for w in seen)
+
+
+def test_automaton_hit_iff_move_reduces():
+    # Every vertex word is geodesic, so a move w*x reduces exactly when the
+    # automaton, stepped from w's state by x, hits.
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    delta, hit = m.automaton()
+    c = build_cayley_ball(p, m, 7)
+    moves = hits = 0
+    for v, label in c.vertex_labels.items():
+        w = Word() if label == "1" else p.word(label)
+        assert len(w) == c.dist[v]
+        s = 0
+        for x in w:
+            s = delta[s][x]
+        for x in (1, -1, 2, -2):
+            if w and w[-1] == -x:
+                continue
+            cand = Word(w + (x,))
+            h = hit[delta[s][x]]
+            assert h == (dehn_reduce(cand, m) != cand), cand
+            moves += 1
+            hits += h
+    assert (moves, hits) == (3 * c.nv + 1, 2)
 
 
 def test_tv12_ball_validity():

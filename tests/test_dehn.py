@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import free_product_trivial
+from oracles import completes_half_relator, free_product_trivial, half_relator_prefixes
 from wallkit.dehn import (
     DehnMachine,
     dehn_reduce,
@@ -57,10 +57,13 @@ def test_not_small_cancellation_guard():
         dehn_reduce(bad.word("ab"), m)
 
 
+# These relators fail C'(1/6): the prefix a^3 covers more than half of each.
+TIES = "gens: a b c\nrel: a^3 b\nrel: a^3 b^-1\nrel: a^3 c^-1 b\n"
+
+
 def test_trie_matches_naive_search(machine):
-    # These relators fail C'(1/6): the prefix a^3 covers more than half of
-    # each, and the trie must pick the shortest, then least, of them.
-    ties = DehnMachine(parse_presentation("gens: a b c\nrel: a^3 b\nrel: a^3 b^-1\nrel: a^3 c^-1 b\n"))
+    # The trie must pick the shortest, then least, of the tied relators.
+    ties = DehnMachine(parse_presentation(TIES))
     rng = random.Random(5)
     for m in (machine, ties):
         sym = m.symmetrized
@@ -82,6 +85,60 @@ def test_trie_matches_naive_search(machine):
                     assert got is None
                 else:
                     assert got is not None and got[0] == naive[0] and got[1] == naive[2]
+
+
+def _automaton_states(w, delta):
+    """The automaton's state after each prefix of w, the empty one first."""
+    states = [0]
+    for x in w:
+        states.append(delta[states[-1]][x])
+    return states
+
+
+# Not C'(1/6) either: after "ba^2" the state is that trie node, which holds
+# no replacement, and only its failure target a^2 covers > half of a^3.
+# Under C'(1/6) such a hit would need a piece longer than half a relator.
+OVERLAP = "gens: a b\nrel: a^3\nrel: b a^2 b^5\n"
+
+
+@pytest.mark.parametrize(
+    "make, max_len",
+    [
+        (lambda: gen_example("tv", I={1, 2}, k=7), 8),
+        (lambda: gen_example("tv", I={1, 2, 3}, k=7), 8),
+        (lambda: parse_presentation(TIES), 6),
+        (lambda: parse_presentation(OVERLAP), 8),
+    ],
+    ids=["tv12", "tv123", "ties", "overlap"],
+)
+def test_automaton_hit_matches_suffix_oracle(make, max_len):
+    p = make()
+    delta, hit = DehnMachine(p).automaton()
+    prefixes = half_relator_prefixes(p.relators)
+    hits = 0
+    for w in iter_reduced_words(len(p.generators), max_len):
+        want = completes_half_relator(w, prefixes)
+        assert hit[_automaton_states(w, delta)[-1]] == want, w
+        hits += want
+    assert hits
+    # Long relator products also cross the long relators' failure links;
+    # no suffix longer than the longest relator can match.
+    longest = max(len(r) for r in p.relators)
+    for w in _relator_products(p, 7, count=5):
+        for j, s in enumerate(_automaton_states(w, delta)):
+            assert hit[s] == completes_half_relator(w[max(0, j - longest):j], prefixes), (w, j)
+
+
+def test_automaton_is_built_once_and_only_on_demand():
+    m = DehnMachine(gen_example("tv", I={1, 2}, k=7))
+    assert m._automaton is None
+    dehn_reduce(Word((1, 2) * 8), m)
+    assert m._automaton is None
+    a = m.automaton()
+    assert m.automaton() is a
+    free = DehnMachine(gen_example("free"))
+    delta, hit = free.automaton()
+    assert delta == [[0] * 5] and hit == [False]
 
 
 def _relator_products(p, seed, count=20, letters=300):
