@@ -272,11 +272,12 @@ def _add_source_args(sp, with_example: bool = True):
         sp.add_argument("--complex-file", help="load a complex file instead of building")
 
 
-def _add_budget_args(sp):
+def _add_budget_args(sp, ball: bool = True):
     default_nodes = env_budget(DEFAULT_NODE_BUDGET)
-    sp.add_argument("--vertex-budget", type=int, default=min(500_000, default_nodes), help="ball vertex budget")
-    sp.add_argument("--node-budget", type=int, default=default_nodes, help="search frontier budget")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--node-budget", type=int, default=default_nodes, help="Dehn index and normal-form table budget")
+    if ball:
+        sp.add_argument("--vertex-budget", type=int, default=min(500_000, default_nodes), help="ball vertex budget")
+        sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("word", help="word problem: reduce, normal form, triviality")
     _add_source_args(sp, with_example=False)
     sp.add_argument("word", help="word over the presentation's generators")
-    _add_budget_args(sp)
+    _add_budget_args(sp, ball=False)
     sp.set_defaults(fn=cmd_word)
 
     sp = sub.add_parser("walls-dump", help="dump the wall partition and hypergraphs")

@@ -12,10 +12,10 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
-from .errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
+from .errors import BadParams, BudgetExceeded, ParseError
 from .presentation import Presentation, piece_index
 from .words import Word, render
 
@@ -285,43 +285,38 @@ def subdivide(c: Complex) -> Complex:
 # Cayley balls
 
 
-def _hnf_rows(vectors: list[tuple[int, ...]], g: int) -> list[tuple[int, ...]]:
-    """Row echelon basis (positive pivots) for the lattice spanned by vectors."""
+def _hnf_rows(vectors: list[tuple[int, ...]], g: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Row echelon basis (positive pivots) for the lattice spanned by vectors,
+    each row with its pivot column."""
     rows = [list(v) for v in vectors if any(v)]
-    basis: list[list[int]] = []
+    basis: list[tuple[int, tuple[int, ...]]] = []
     for col in range(g):
-        pool = [r for r in rows if r[col] != 0]
-        if not pool:
-            continue
-        while True:
-            pool.sort(key=lambda r: abs(r[col]))
-            piv = pool[0]
-            rest = pool[1:]
-            done = True
-            for r in rest:
-                q = r[col] // piv[col]
-                for j in range(g):
-                    r[j] -= q * piv[j]
-                if r[col] != 0:
-                    done = False
-            pool = [piv] + [r for r in rest if r[col] != 0]
-            if done:
-                break
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(list(piv))
-        rows = [r for r in rows if r[col] == 0] + [r for r in pool[1:]]
-    return [tuple(r) for r in basis]
+        # Euclid down the column: the other rows' entries shrink below the pivot's
+        while len(pool := [r for r in rows if r[col]]) > 1:
+            piv = min(pool, key=lambda r: abs(r[col]))
+            for r in pool:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+        if pool:
+            rows.remove(pool[0])
+            basis.append((col, tuple(x if pool[0][col] > 0 else -x for x in pool[0])))
+    return basis
 
 
-def _ab_residue(vec: tuple[int, ...], basis: list[tuple[int, ...]]) -> tuple[int, ...]:
-    v = list(vec)
-    for row in basis:
-        col = next(j for j, x in enumerate(row) if x)
-        q = v[col] // row[col]
-        for j in range(len(v)):
-            v[j] -= q * row[j]
-    return tuple(v)
+def _ab_residue(vec: Sequence[int], basis: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    for col, row in basis:
+        q = vec[col] // row[col]
+        if q:
+            vec = [a - q * b for a, b in zip(vec, row)]
+    return tuple(vec)
+
+
+def _act(perms: dict[int, tuple[int, ...]], w: Sequence[int], points: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of ``points`` under the letters of w, applied in turn."""
+    for x in w:
+        points = tuple(map(perms[x].__getitem__, points))
+    return points
 
 
 def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int = 4000) -> dict[int, tuple[int, ...]]:
@@ -346,24 +341,11 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
             perm = list(range(m))
             rng.shuffle(perm)
             perms.append(tuple(perm))
-        table: dict[int, tuple[int, ...]] = {}
-        for gi, perm in enumerate(perms):
-            inv = [0] * m
-            for i, x in enumerate(perm):
-                inv[x] = i
-            table[gi + 1] = perm
-            table[-(gi + 1)] = tuple(inv)
-        ok = True
-        for r in p.relators:
-            state = tuple(range(m))
-            for letter in r:
-                perm = table[letter]
-                state = tuple(perm[s] for s in state)
-            if state != tuple(range(m)):
-                ok = False
-                break
-        if ok and any(table[gi + 1] != tuple(range(m)) for gi in range(g)):
-            key = tuple(table[gi + 1] for gi in range(g))
+        table = {gi + 1: perm for gi, perm in enumerate(perms)}
+        table.update({-x: tuple(sorted(range(m), key=perm.__getitem__)) for x, perm in table.items()})  # inverses
+        points = tuple(range(m))
+        if all(_act(table, r, points) == points for r in p.relators) and any(x != points for x in perms):
+            key = tuple(perms)
             if key not in seen:
                 seen.add(key)
                 for x, perm in table.items():
@@ -374,6 +356,101 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
     return {x: tuple(perm) for x, perm in union.items()}
 
 
+class ElementTable:
+    """The elements of a 1/6 presentation's group, numbered in shortlex
+    order of their least words: sphere k is ids ``spheres[k]`` up to
+    ``spheres[k + 1]``.
+
+    Element v keeps its least word ``words[v]`` (``vid_of`` maps it back),
+    its automaton state, and its bucket key: its image in a few finite
+    quotients that the seed picks, and its abelianization class.  A move
+    w*x lands on the element of w*x's Dehn reduction, or else on one that
+    shares its key and that Dehn's algorithm proves equal to it, so the
+    seed changes how many candidates are probed, never the table.  Stored
+    words are geodesic, hence Dehn-reduced, so a >half relator subword of
+    the freely reduced w*x can only be a suffix: a move runs Dehn's
+    algorithm only when one automaton step from w's state hits.
+    """
+
+    def __init__(self, p: Presentation, m: DehnMachine, *, vertex_budget: int, seed: int = 0):
+        m._require_ok()
+        g = len(p.generators)
+        self.p, self.m, self.vertex_budget = p, m, vertex_budget
+        self.letters = sorted((s * (gi + 1) for gi in range(g) for s in (1, -1)), key=letter_rank)
+        self.perms = _find_finite_quotients(p, seed)
+        self.ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
+        self.delta, self.hit = m.automaton()
+        self.words: list[Word] = [Word()]
+        self.vid_of: dict[Word, int] = {Word(): 0}
+        self.state = array("l", [0])
+        # bucket key: (image of the quotients' points, abelian residue)
+        self.keys: list[tuple] = [(tuple(range(len(next(iter(self.perms.values()), ())))), (0,) * g)]
+        self.buckets: dict[tuple, list[int]] = {self.keys[0]: [0]}
+        self.spheres = [0, 1]
+
+    def walk(self, make: bool = True) -> Iterator[tuple[int, int, int | None]]:
+        """Yield ``(u, x, v)``, v the element of u*x, for each move out of
+        the outermost whole sphere in shortlex order, but the one back along
+        u's last letter.  With ``make`` a v not in the table is made (else it
+        is None), and the walk closes the next sphere when it ends."""
+        m, hit, relators, perms, ab_basis = self.m, self.hit, self.p.relators, self.perms, self.ab_basis
+        words, vid_of, state, keys, buckets = self.words, self.vid_of, self.state, self.keys, self.buckets
+        for u in range(self.spheres[-2], self.spheres[-1]):
+            wu = words[u]
+            step = self.delta[state[u]]
+            image, residue = keys[u]
+            for x in self.letters:
+                if wu and wu[-1] == -x:
+                    continue  # back to the prefix element, whose move made u
+                s = step[x]
+                cand = wu + (x,)  # a plain tuple until it is needed as a Word
+                ab = list(residue)
+                ab[abs(x) - 1] += 1 if x > 0 else -1
+                key = (tuple(map(perms[x].__getitem__, image)), _ab_residue(ab, ab_basis))
+                reduced = dehn_reduce(Word(cand), m) if hit[s] else cand
+                v = vid_of.get(reduced)
+                if v is None and relators:
+                    for b in buckets.get(key, ()):
+                        if is_trivial(reduced + words[b].inverse(), m):
+                            v = b
+                            break
+                if v is None and make:
+                    if len(words) >= self.vertex_budget:
+                        raise BudgetExceeded(
+                            f"vertex budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}"
+                        )
+                    v = len(words)
+                    cand = Word(cand)
+                    words.append(cand)
+                    vid_of[cand] = v
+                    state.append(s)
+                    keys.append(key)
+                    buckets.setdefault(key, []).append(v)
+                yield u, x, v
+        if make:
+            self.spheres.append(len(words))
+
+    def index(self, w: Word) -> int:
+        """The id of the element of the Dehn-reduced word w.  If the table
+        does not hold it, the table grows in shortlex order up to the first
+        element made that equals w, and that element's word is w's
+        shortlex-least word.  After a BudgetExceeded the next growth walks
+        the unfinished sphere again and finds what it made by lookup."""
+        if w in self.vid_of:
+            return self.vid_of[w]
+        key = (_act(self.perms, w, self.keys[0][0]), _ab_residue(_ab_vector(w, len(self.p.generators)), self.ab_basis))
+        for v in self.buckets.get(key, ()):
+            if is_trivial(w + self.words[v].inverse(), self.m):
+                return v
+        made = len(self.words)
+        while True:
+            for _ in self.walk():
+                if len(self.words) > made:
+                    made += 1
+                    if self.keys[made - 1] == key and is_trivial(w + self.words[made - 1].inverse(), self.m):
+                        return made - 1
+
+
 def build_cayley_ball(
     p: Presentation,
     m: DehnMachine,
@@ -382,108 +459,39 @@ def build_cayley_ball(
     vertex_budget: int = 500_000,
     seed: int = 0,
 ) -> Complex:
-    """Ball of the Cayley complex: vertices are shortlex normal forms at
-    distance <= radius, edges are generator moves between them, cells are
-    relator cycles lying entirely inside the ball.
-
-    A candidate move w*x lands on the vertex whose word is the Dehn
-    reduction of w*x, or else on a vertex that shares its bucket key (its
-    image in a few finite quotients and its abelianization class) and that
-    Dehn's algorithm proves equal to it.  The seed picks the quotients, so
-    it changes how many candidates are probed, never the ball.
-
-    Identification is exact, so every vertex word is geodesic and hence
-    Dehn-reduced: a >half relator subword of the freely reduced w*x can
-    only be a suffix.  Each vertex keeps the state of the machine's
-    Aho-Corasick automaton after its word, and a move runs Dehn's algorithm
-    only when one step from that state hits such a suffix; otherwise w*x
-    is its own reduction.
+    """Ball of the Cayley complex: vertices are the elements of an
+    ElementTable grown ``radius`` times, edges are generator moves between
+    them, cells are relator cycles lying entirely inside the ball.  The
+    seed picks the table's quotients, so it never changes the ball.
 
     Auto-subdivides if any attached cell has odd length.
     """
     if radius < 1:
         raise BadParams("radius must be >= 1")
-    if not m.small_cancellation_ok:
-        raise NotSmallCancellation("ball construction requires the 1/6 piece condition")
-    g = len(p.generators)
-    letters = sorted((s * (gi + 1) for gi in range(g) for s in (1, -1)), key=letter_rank)
-    perms = _find_finite_quotients(p, seed)
-    ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
-
-    delta, hit = m.automaton()
-
-    start = Word()
-    verts: list[Word] = [start]
-    vid_of: dict[Word, int] = {start: 0}
-    state = array("l", [0])  # automaton state after each vertex word
-    # bucket key: (image of the quotients' points, abelian residue)
-    points = len(next(iter(perms.values()), ()))
-    keys: list[tuple] = [(tuple(range(points)), (0,) * g)]
-    buckets: dict[tuple, list[int]] = {keys[0]: [0]}
-    dist = [0]
-
+    table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
     edges: list[tuple[int, int]] = []
     edge_gens: dict[int, int] = {}
     out_map: dict[tuple[int, int], tuple[int, int]] = {}  # (vertex, letter) -> (vertex, edge)
-
-    def add_edge(u: int, x: int, v: int):
-        # u * letter(x) = v, stored in the positive letter direction; the
-        # move v * letter(-x) = u is recorded with it
-        if (u, x) in out_map:
-            return
-        eid = len(edges)
-        edges.append((u, v) if x > 0 else (v, u))
-        edge_gens[eid] = abs(x) - 1
-        out_map[(u, x)] = (v, eid)
-        out_map[(v, -x)] = (u, eid)
-
-    # The last pass (level == radius) adds no vertex: it only closes edges
-    # among the boundary vertices, and a move that meets no vertex leaves
+    # The last pass (level == radius) makes no element: it only closes edges
+    # among the boundary vertices, and a move that meets no element leaves
     # the ball.
-    frontier = [0]
     for level in range(radius + 1):
-        nxt: list[int] = []
-        for u in frontier:
-            wu = verts[u]
-            step = delta[state[u]]
-            image, residue = keys[u]
-            for x in letters:
-                if wu and wu[-1] == -x:
-                    continue  # the tree edge back to the prefix vertex exists
-                s = step[x]
-                cand = wu + (x,)  # a plain tuple until it is needed as a Word
-                ab = list(residue)
-                ab[abs(x) - 1] += 1 if x > 0 else -1
-                key = (tuple(map(perms[x].__getitem__, image)), _ab_residue(ab, ab_basis))
-                reduced = dehn_reduce(Word(cand), m) if hit[s] else cand
-                v = vid_of.get(reduced)
-                if v is None and p.relators:
-                    for b in buckets.get(key, ()):
-                        if is_trivial(reduced + verts[b].inverse(), m):
-                            v = b
-                            break
-                if v is None:
-                    if level == radius:
-                        continue
-                    if len(verts) >= vertex_budget:
-                        raise BudgetExceeded(f"vertex budget {vertex_budget} exhausted at radius {level + 1}")
-                    v = len(verts)
-                    cand = Word(cand)
-                    verts.append(cand)
-                    vid_of[cand] = v
-                    state.append(s)
-                    keys.append(key)
-                    dist.append(level + 1)
-                    buckets.setdefault(key, []).append(v)
-                    nxt.append(v)
-                add_edge(u, x, v)
-        frontier = nxt
+        for u, x, v in table.walk(make=level < radius):
+            # u * letter(x) = v, stored in the positive letter direction;
+            # the move v * letter(-x) = u is recorded with it
+            if v is None or (u, x) in out_map:
+                continue
+            eid = len(edges)
+            edges.append((u, v) if x > 0 else (v, u))
+            edge_gens[eid] = abs(x) - 1
+            out_map[(u, x)] = (v, eid)
+            out_map[(v, -x)] = (u, eid)
 
     # attach relator cells whose whole boundary lies in the ball
     cells: list[tuple[Token, ...]] = []
     seen_cells: set[frozenset[int]] = set()
     for r in p.relators:
-        for v0 in range(len(verts)):
+        for v0 in range(len(table.words)):
             cur = v0
             toks: list[Token] = []
             for letter in r:
@@ -503,13 +511,13 @@ def build_cayley_ball(
     c = Complex(
         edges,
         cells,
-        len(verts),
-        vertex_labels={vid: render(w, p.generators) for vid, w in enumerate(verts)},
+        len(table.words),
+        vertex_labels={vid: render(w, p.generators) for vid, w in enumerate(table.words)},
         edge_gens=edge_gens,
         origin="cayley-ball",
         radius=radius,
         base=0,
-        dist=dist,
+        dist=[len(w) for w in table.words],
         generator_names=p.generators,
     )
     c.validate()
@@ -519,10 +527,7 @@ def build_cayley_ball(
 
 
 def _ab_vector(w: Word, g: int) -> tuple[int, ...]:
-    v = [0] * g
-    for x in w:
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(v)
+    return tuple(w.count(gi + 1) - w.count(-gi - 1) for gi in range(g))
 
 
 def boundary_word(c: Complex, cid: int) -> Word:

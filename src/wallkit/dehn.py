@@ -55,6 +55,7 @@ class DehnMachine:
                 if 2 * depth > len(r) and 0 not in node:
                     node[0] = Word(r[depth:]).inverse()
         self._automaton: tuple[list[list[int]], list[bool]] | None = None
+        self._elements = None
 
     def automaton(self) -> tuple[list[list[int]], list[bool]]:
         """``(delta, hit)``: the Aho-Corasick automaton (Aho-Corasick 1975)
@@ -91,6 +92,14 @@ class DehnMachine:
                 delta.append(row)
             self._automaton = (delta, hit)
         return self._automaton
+
+    def elements(self):
+        """The presentation's ElementTable (seed 0, vertex budget
+        ``node_budget``), built on first use; normal forms grow it."""
+        if self._elements is None:
+            from .complexes import ElementTable  # complexes imports this module
+            self._elements = ElementTable(self.presentation, self, vertex_budget=self.node_budget)
+        return self._elements
 
     def _require_ok(self):
         if not self.small_cancellation_ok:
@@ -145,7 +154,7 @@ def shortlex_key(w: Word) -> tuple:
 
 
 def iter_reduced_words(num_gens: int, max_len: int) -> Iterator[Word]:
-    """Freely reduced words in shortlex order."""
+    """Freely reduced words in shortlex order (the tests and the benchmark use it)."""
     letters = sorted((s * (g + 1) for g in range(num_gens) for s in (1, -1)), key=letter_rank)
     level: list[tuple[int, ...]] = [()]
     yield Word()
@@ -162,17 +171,11 @@ def iter_reduced_words(num_gens: int, max_len: int) -> Iterator[Word]:
 
 
 def shortlex_normal_form(w: Word, m: DehnMachine) -> Word:
-    """Shortlex-least word equal to w, by breadth-first search with the
-    triviality oracle.  Raises BudgetExceeded past the node budget."""
+    """Shortlex-least word equal to w: the word of its element in
+    ``m.elements()``.  Raises BudgetExceeded past the node budget."""
     m._require_ok()
     reduced = dehn_reduce(w, m)
     if not reduced or not m.presentation.relators:
         return reduced
-    target_inv = reduced.inverse()
-    words = iter_reduced_words(len(m.presentation.generators), len(reduced))
-    for count, cand in enumerate(words, start=1):
-        if count > m.node_budget:
-            raise BudgetExceeded(f"shortlex search frontier exceeded {m.node_budget} words")
-        if is_trivial(cand + target_inv, m):
-            return cand
-    return reduced
+    table = m.elements()
+    return table.words[table.index(reduced)]

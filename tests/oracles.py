@@ -10,6 +10,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
+from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
+from wallkit.errors import BudgetExceeded
 from wallkit.presentation import Piece, PieceIndex, Presentation
 from wallkit.walls import ConvexityReport
 from wallkit.words import Word
@@ -186,6 +188,26 @@ def completes_half_relator(w, prefixes: set[tuple]) -> bool:
     """Whether some suffix of w is one of ``half_relator_prefixes``."""
     w = tuple(w)
     return any(w[i:] in prefixes for i in range(len(w)))
+
+
+# -- shortlex normal forms by enumeration ---------------------------------------
+
+
+def shortlex_search(w: Word, m: DehnMachine) -> Word:
+    """Shortlex-least word equal to w, by breadth-first search with the
+    triviality oracle.  Raises BudgetExceeded past the node budget."""
+    m._require_ok()
+    reduced = dehn_reduce(w, m)
+    if not reduced or not m.presentation.relators:
+        return reduced
+    target_inv = reduced.inverse()
+    words = iter_reduced_words(len(m.presentation.generators), len(reduced))
+    for count, cand in enumerate(words, start=1):
+        if count > m.node_budget:
+            raise BudgetExceeded(f"shortlex search frontier exceeded {m.node_budget} words")
+        if is_trivial(cand + target_inv, m):
+            return cand
+    return reduced
 
 
 # -- free-product normal form for one-relator powers ---------------------------

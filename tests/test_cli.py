@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +249,26 @@ def test_word_budget_exit(pres_files):
         "word", "--input", str(good), "--node-budget", "5", "(ab)^4", env={"WALLKIT_BUDGET": "1000000"}
     )
     assert rc == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--vertex-budget", "3"]])
+def test_word_takes_no_ball_options(flag, capsys):
+    # word builds no ball, so the ball's seed and vertex budget are not its options
+    assert main(["word", "--family", "tv", "--I", "1", *flag, "(ab)^4"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_usage_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines()]
+    argvs = [shlex.split(ln)[1:] for ln in lines if ln.startswith("wallkit ")]
+    assert len(argvs) >= 5
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: wallkit {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("raw", ["5", " 5", "-5", "0", "abc"])

@@ -1,11 +1,13 @@
 import hashlib
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import completes_half_relator, free_product_trivial, half_relator_prefixes
+from oracles import completes_half_relator, free_product_trivial, half_relator_prefixes, shortlex_search
+from wallkit import complexes
 from wallkit.dehn import (
     DehnMachine,
     dehn_reduce,
@@ -17,7 +19,7 @@ from wallkit.dehn import (
     shortlex_normal_form,
 )
 from wallkit.errors import BudgetExceeded, NotSmallCancellation
-from wallkit.presentation import gen_example, parse_presentation
+from wallkit.presentation import check_small_cancellation, gen_example, parse_presentation
 from wallkit.words import Word, free_reduce
 
 
@@ -130,12 +132,18 @@ def test_automaton_hit_matches_suffix_oracle(make, max_len):
 
 
 def test_automaton_is_built_once_and_only_on_demand():
-    m = DehnMachine(gen_example("tv", I={1, 2}, k=7))
-    assert m._automaton is None
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    assert m._automaton is None and m._elements is None
     dehn_reduce(Word((1, 2) * 8), m)
-    assert m._automaton is None
+    is_trivial(Word((1, 2) * 7), m)
+    assert m._automaton is None and m._elements is None
     a = m.automaton()
     assert m.automaton() is a
+    check_small_cancellation(p, Fraction(1, 6))
+    assert m._elements is None
+    t = m.elements()
+    assert m.elements() is t and m.automaton() is a
     free = DehnMachine(gen_example("free"))
     delta, hit = free.automaton()
     assert delta == [[0] * 5] and hit == [False]
@@ -247,6 +255,72 @@ def test_budget(one, monkeypatch):
     with pytest.raises(BudgetExceeded):
         shortlex_normal_form(one.word("(ab)^4"), m)
     assert DehnMachine(one).node_budget == 1000000
+
+
+def test_budget_leaves_the_element_table_exact():
+    # tv{1} has 53 elements within radius 3, so a budget of 60 stops the
+    # table inside sphere 4, and (ab)^4 a reduces to 5 letters.
+    one = gen_example("tv", I={1}, k=7)
+    m = DehnMachine(one, node_budget=60)
+    with pytest.raises(BudgetExceeded):
+        shortlex_normal_form(one.word("(ab)^4 a"), m)
+    assert shortlex_normal_form(one.word("a b"), m) == one.word("ab")
+    with pytest.raises(BudgetExceeded):
+        shortlex_normal_form(one.word("(ab)^4 a"), m)
+    words = m.elements().words
+    assert len(words) == 60 and len(set(words)) == 60
+    assert [len(w) for w in words] == sorted(len(w) for w in words)
+
+
+def _random_reduced(rng, n):
+    out = []
+    while len(out) < n:
+        x = rng.choice((1, -1, 2, -2))
+        if not out or out[-1] != -x:
+            out.append(x)
+    return out
+
+
+# Twenty seeded reduced words of 5 to 7 letters, the same on every machine.
+_RNG = random.Random(7)
+RANDOM_WORDS = [Word(_random_reduced(_RNG, _RNG.randint(5, 7))) for _ in range(20)]
+
+
+@pytest.mark.parametrize("I", [{1}, {1, 2}, {1, 2, 3}], ids=["tv1", "tv12", "tv123"])
+def test_shortlex_normal_form_matches_search_oracle(I):
+    m = DehnMachine(gen_example("tv", I=I, k=7))
+    # The first half of a symmetrized relator and the inverse of its other
+    # half are two geodesics that tie; the normal form is the lesser one.
+    halves = sorted({Word(r[: len(r) // 2]) for r in m.symmetrized if len(r) <= 18})
+    # A relator between filler letters, followed by a half relator: Dehn's
+    # algorithm leaves the half in place, at most 9 letters in all.
+    rng = random.Random(len(I))
+    rels = sorted(m.symmetrized)
+    products = []
+    while len(products) < 2:
+        r, h = rng.choice(rels), rng.choice(rels)
+        w = Word(_random_reduced(rng, rng.randint(0, 1)) + list(r) + list(h[: len(h) // 2])
+                 + _random_reduced(rng, rng.randint(0, 1)))
+        if 0 < len(dehn_reduce(w, m)) <= 9:
+            products.append(w)
+    changed = 0
+    for w in halves + products + RANDOM_WORDS:
+        nf = shortlex_normal_form(w, m)
+        assert nf == shortlex_search(w, m), w
+        changed += nf != dehn_reduce(w, m)
+    assert changed >= 2
+
+
+def test_normal_form_is_exact_when_bucket_keys_collide(monkeypatch):
+    # With no quotient points a key is the abelian class alone, so "ab" and
+    # "ba" share one and only Dehn's algorithm tells such elements apart.
+    # Each word gets a fresh table, which grows past its key-mates first.
+    monkeypatch.setattr(complexes, "_find_finite_quotients", lambda p, seed: {x: () for x in (1, -1, 2, -2)})
+    p = gen_example("tv", I={1, 2}, k=7)
+    for w in iter_reduced_words(2, 3):
+        m = DehnMachine(p)
+        assert shortlex_normal_form(w, m) == shortlex_search(w, m) == w
+    assert len(m.elements().buckets) < len(m.elements().words) // 2
 
 
 def test_huge_relator_index_guarded():
