@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -29,7 +30,7 @@ class Complex:
     edges: list[tuple[int, int]]
     cells: list[tuple[Token, ...]]
     nv: int
-    vertex_labels: dict[int, str] = field(default_factory=dict)
+    vertex_labels: Mapping[int, str] = field(default_factory=dict)
     edge_gens: dict[int, int] = field(default_factory=dict)  # eid -> generator index (u * gen = v)
     origin: str = "file"
     radius: int | None = None
@@ -40,6 +41,7 @@ class Complex:
 
     def __post_init__(self):
         self._adj: list[list[tuple[int, int]]] | None = None
+        self._nbrs: list[list[int]] | None = None
 
     # -- structure --------------------------------------------------------
 
@@ -51,6 +53,12 @@ class Complex:
                 adj[v].append((u, eid))
             self._adj = adj
         return self._adj
+
+    def neighbours(self) -> list[list[int]]:
+        """The adjacency lists without their edge ids."""
+        if self._nbrs is None:
+            self._nbrs = [[v for v, _ in a] for a in self.adjacency()]
+        return self._nbrs
 
     def edge_ends(self, token: Token) -> tuple[int, int]:
         eid, d = token
@@ -451,6 +459,31 @@ class ElementTable:
                         return made - 1
 
 
+class WordLabels(Mapping):
+    """Vertex labels of a Cayley ball, each vertex's word rendered with the
+    generator names.  The first read renders every label and drops the
+    words; the build reads none."""
+
+    def __init__(self, words: Sequence[Word], names: Sequence[str]):
+        self._words, self._names = words, names
+        self._labels: dict[int, str] | None = None
+
+    def _rendered(self) -> dict[int, str]:
+        if self._labels is None:
+            self._labels = {vid: render(w, self._names) for vid, w in enumerate(self._words)}
+            self._words = ()
+        return self._labels
+
+    def __getitem__(self, vid: int) -> str:
+        return self._rendered()[vid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rendered())
+
+    def __len__(self) -> int:
+        return len(self._rendered())
+
+
 def build_cayley_ball(
     p: Presentation,
     m: DehnMachine,
@@ -512,7 +545,7 @@ def build_cayley_ball(
         edges,
         cells,
         len(table.words),
-        vertex_labels={vid: render(w, p.generators) for vid, w in enumerate(table.words)},
+        vertex_labels=WordLabels(table.words, p.generators),
         edge_gens=edge_gens,
         origin="cayley-ball",
         radius=radius,

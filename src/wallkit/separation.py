@@ -11,11 +11,15 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import groupby
+from math import isqrt
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .complexes import Complex, check_cprime, geodesic
 from .errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
-from .walls import WallSystem, odd_crossings
+from .walls import WallSystem, geodesic_crossings
 
 # -- geodesics --------------------------------------------------------------
 
@@ -385,22 +389,57 @@ def default_region(c: Complex, ws: WallSystem) -> list[int]:
 
 
 def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) -> list[PairRow]:
-    """Per-pair geodesic/wall statistics.  Consecutive pairs with the same
-    q share one BFS map, so pass pairs grouped by q."""
+    """Per-pair geodesic/wall statistics, one row per pair, in order.
+
+    Each run of consecutive pairs with the same q is one call of
+    ``geodesic_crossings``, so pass pairs grouped by q.  It reproduces
+    ``geodesic(c, p, q)`` for every p of the run without walking it:
+
+    - Its BFS from q stops after the level of the last p.  The greedy
+      step of ``geodesic`` at v only asks which neighbours lie one level
+      nearer q than v, and all those levels are complete by then.
+    - A vertex's descent edge is its least edge id into the level one
+      nearer q: the edge ``geodesic`` takes there.  So the chain of
+      descent edges from p is ``geodesic(c, p, q)``, and the chains of all
+      the p form a tree rooted at q.  One depth-first walk of that tree
+      counts each wall's crossings, undoing each edge on the way back,
+      and reads each p's row when it reaches p.
+
+    A geodesic repeats no edge, so each wall it crosses once marks one
+    single-crossing edge: the row's in_A_count.
+    """
     rows: list[PairRow] = []
-    dq_of = None
-    for p, q in pairs:
-        if dq_of != q:
-            dq, dq_of = c.bfs_distances(q), q
-        d = dq[p]
-        crossings = Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q, dq))
-        dw = odd_crossings(ws, crossings).settled_count
-        settled = all(ws.settled[w] for w in crossings)
-        # A geodesic repeats no edge, so each wall crossed once marks one
-        # single-crossing edge.
-        single = sum(1 for k in crossings.values() if k == 1)
-        rows.append(PairRow(p, q, d, dw, Fraction(dw, d), settled, single))
+    ratios: dict[tuple[int, int], Fraction] = {}
+    for q, group in groupby(pairs, key=itemgetter(1)):
+        ps = [p for p, _ in group]
+        if q in ps:
+            raise BadParams("geodesic endpoints must differ")
+        stats = geodesic_crossings(c, ws, q, ps)
+        for p in ps:
+            d, dw, _, unsettled, in_a = stats[p]
+            ratio = ratios.get((dw, d))
+            if ratio is None:
+                ratio = ratios[dw, d] = Fraction(dw, d)
+            rows.append(PairRow(p, q, d, dw, ratio, not unsettled, in_a))
     return rows
+
+
+def pair_at(n: int, index: int) -> tuple[int, int]:
+    """The index-th pair (i, j), i < j < n, in lexicographic order."""
+    if not 0 <= index < n * (n - 1) // 2:
+        raise BadParams(f"pair index {index} outside 0..{n * (n - 1) // 2 - 1}")
+
+    def first(i: int) -> int:  # the index of (i, i + 1), after the pairs of rows 0..i-1
+        return i * (2 * n - i - 1) // 2
+
+    # first(i) <= index solved as a quadratic in i, then fixed up exactly
+    b = 2 * n - 1
+    i = (b - isqrt(b * b - 8 * index)) // 2
+    while first(i + 1) <= index:
+        i += 1
+    while first(i) > index:
+        i -= 1
+    return i, i + 1 + index - first(i)
 
 
 def verify_linear_separation(
@@ -414,7 +453,8 @@ def verify_linear_separation(
     seed: int = 0,
 ) -> SeparationReport:
     """Compare the wall pseudo-metric against the path metric over all
-    vertex pairs in the region.
+    vertex pairs in the region, or over a seeded sample of max_pairs of
+    them.
 
     Pass requires some settled pair, and every settled pair to satisfy
     dw <= d and dw/d at least the constant; unsettled-pair violations are
@@ -428,18 +468,26 @@ def verify_linear_separation(
         raise NotSmallCancellation(f"complex fails the strict {lam} piece condition")
     const = separation_constant(lam)
     verts = sorted(set(region)) if region is not None else default_region(c, ws)
-    pairs = [(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = random.Random(seed)
-        pairs = sorted(rng.sample(pairs, max_pairs))
-    # group by q so each BFS map serves all pairs ending at q
-    pairs.sort(key=lambda pq: (pq[1], pq[0]))
+    n = len(verts)
+    total = n * (n - 1) // 2
+    if max_pairs is not None and total > max_pairs:
+        # the draw equals rng.sample over the list of all pairs, in order
+        picks = sorted(random.Random(seed).sample(range(total), max_pairs))
+        pairs = [(verts[i], verts[j]) for i, j in map(partial(pair_at, n), picks)]
+    else:
+        pairs = [(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]]
+    # group by q so each traversal from q serves all pairs ending at q
+    pairs.sort(key=itemgetter(1, 0))
     rows = sweep_pairs(c, ws, pairs)
-    rows.sort(key=lambda r: (r.p, r.q))
-    min_ratio = min((r.ratio for r in rows), default=None)
-    mean_ratio = (sum(r.ratio for r in rows) / len(rows)) if rows else None
-    violations = [r for r in rows if r.settled and (r.ratio < const or r.dw > r.d)]
-    inconclusive = [r for r in rows if not r.settled and (r.ratio < const or r.dw > r.d)]
+    rows.sort(key=attrgetter("p", "q"))
+    classes = Counter((r.dw, r.d) for r in rows)
+    min_ratio = min((Fraction(dw, d) for dw, d in classes), default=None)
+    mean_ratio = sum(Fraction(dw * k, d) for (dw, d), k in classes.items()) / len(rows) if rows else None
+    # dw/d < constant, cross-multiplied (d and the denominator are positive)
+    num, den = const.numerator, const.denominator
+    failing = [r for r in rows if r.dw * den < num * r.d or r.dw > r.d]
+    violations = [r for r in failing if r.settled]
+    inconclusive = [r for r in failing if not r.settled]
     passed = observe or (any(r.settled for r in rows) and not violations and all(r.dw <= r.d for r in rows))
     return SeparationReport(
         lam, const, rows, min_ratio, mean_ratio, len(rows), violations, inconclusive, passed, observe

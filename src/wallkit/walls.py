@@ -11,12 +11,11 @@ flag tracks.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Literal
 
-from .complexes import Complex, geodesic
+from .complexes import Complex
 from .errors import BadParams, OddCell
 
 SettledPolicy = Literal["margin", "all"]
@@ -481,17 +480,92 @@ class WallDistance:
         return self.settled_count + self.unsettled_count
 
 
-def odd_crossings(ws: WallSystem, crossings: Counter) -> WallDistance:
-    """Walls crossed an odd number of times by a path, given its crossing
-    count per wall, split into settled and unsettled walls."""
-    settled = unsettled = 0
-    for wid, k in crossings.items():
-        if k % 2:
-            if ws.settled[wid]:
-                settled += 1
-            else:
-                unsettled += 1
-    return WallDistance(settled, unsettled)
+def geodesic_crossings(
+    c: Complex, ws: WallSystem, q: int, targets: Iterable[int]
+) -> dict[int, tuple[int, int, int, int, int]]:
+    """Crossing statistics of ``geodesic(c, p, q)`` for every target p != q,
+    from one BFS from q and one walk of the tree of those geodesics (see
+    ``separation.sweep_pairs`` for why the tree holds them).
+
+    Each target maps to ``(d, dw, odd_unsettled, unsettled, in_a)``: the
+    path length, the settled and the unsettled walls crossed an odd number
+    of times, the crossings of unsettled walls, and the walls crossed
+    exactly once.
+    """
+    adj, nbrs = c.adjacency(), c.neighbours()
+    want = set(targets)
+    want.discard(q)
+    # levels[k]: the vertices at distance k from q, up to the last target's
+    # level.  The neighbours of level k lie in levels k - 1, k and k + 1.
+    levels = [{q}]
+    level_of: dict[int, int] = {}
+    left = set(want)
+    prev: set[int] = set()
+    while left:
+        cur = levels[-1]
+        nxt = set(chain.from_iterable(map(nbrs.__getitem__, cur)))
+        nxt.difference_update(cur, prev)
+        if not nxt:
+            raise BadParams(f"vertex {min(left)} is not reached from {q}")
+        if not left.isdisjoint(nxt):
+            found = left & nxt
+            level_of.update(dict.fromkeys(found, len(levels)))
+            left -= found
+        prev = cur
+        levels.append(nxt)
+
+    wall_of_edge = ws.wall_of_edge
+    children: dict[int, list[tuple[int, int]]] = {}  # vertex -> (child, wall of its descent edge)
+    in_tree = {q}
+    for v in want:
+        k = level_of[v]
+        while v not in in_tree:
+            in_tree.add(v)
+            k -= 1
+            below = levels[k]
+            for w, eid in adj[v]:  # adjacency lists run in increasing edge id
+                if w in below:
+                    break
+            children.setdefault(w, []).append((v, wall_of_edge[eid]))
+            v = w
+
+    # one walk of the tree from q, with running per-wall crossing counts
+    settled = ws.settled
+    count = [0] * len(c.edges)  # per wall id, the least edge id of the wall
+    out: dict[int, tuple[int, int, int, int, int]] = {}
+    d = dw = odd_unsettled = unsettled = in_a = 0
+    stack = list(children.get(q, ()))  # (child, wall) to enter, (-1, wall) to leave
+    while stack:
+        v, wid = stack.pop()
+        if v >= 0:
+            k = count[wid]
+            count[wid] = k + 1
+            d += 1
+            sign = 1
+        else:
+            k = count[wid] - 1
+            count[wid] = k
+            d -= 1
+            sign = -1
+        # add (sign 1) or remove (sign -1) the wall's crossing number k + 1:
+        # it makes the wall crossed once at k = 0 and no longer at k = 1,
+        # and flips the parity of its crossings
+        if k == 0:
+            in_a += sign
+        elif k == 1:
+            in_a -= sign
+        flip = -sign if k & 1 else sign
+        if settled[wid]:
+            dw += flip
+        else:
+            odd_unsettled += flip
+            unsettled += sign
+        if v >= 0:
+            if v in want:
+                out[v] = (d, dw, odd_unsettled, unsettled, in_a)
+            stack.append((-1, wid))
+            stack.extend(children.get(v, ()))
+    return out
 
 
 def wall_distance(
@@ -511,8 +585,8 @@ def wall_distance(
     if p == q:
         return WallDistance(0, 0)
     if via == "parity":
-        path = geodesic(ws.complex, p, q)
-        return odd_crossings(ws, Counter(ws.wall_of_edge[eid] for eid in path))
+        _, dw, odd_unsettled, _, _ = geodesic_crossings(ws.complex, ws, q, (p,))[p]
+        return WallDistance(dw, odd_unsettled)
     settled = unsettled = 0
     for wid in ws.wall_ids():
         split = _split(ws, wid)

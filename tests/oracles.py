@@ -7,13 +7,15 @@ library's piece/wall machinery beyond its result containers.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
+from wallkit.complexes import geodesic
 from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
 from wallkit.errors import BudgetExceeded
 from wallkit.presentation import Piece, PieceIndex, Presentation
-from wallkit.walls import ConvexityReport
+from wallkit.separation import PairRow
+from wallkit.walls import ConvexityReport, WallDistance
 from wallkit.words import Word
 
 
@@ -469,3 +471,36 @@ def pairwise_hypercarrier_check(ws, wid: int, *, strict: bool = True) -> Convexi
             if seen.get(v) != D:
                 return ConvexityReport(wid, strict, False, (u, v, -1))
     return ConvexityReport(wid, strict, True, None)
+
+
+# -- wall metric along geodesics -----------------------------------------------
+
+
+def odd_crossings(ws, crossings: Counter) -> WallDistance:
+    """Walls crossed an odd number of times by a path, given its crossing
+    count per wall, split into settled and unsettled walls."""
+    settled = unsettled = 0
+    for wid, k in crossings.items():
+        if k % 2:
+            if ws.settled[wid]:
+                settled += 1
+            else:
+                unsettled += 1
+    return WallDistance(settled, unsettled)
+
+
+def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
+    """Sweep rows pair by pair: one full BFS per run of pairs with the same
+    q, then a fresh geodesic walk and crossing count per pair."""
+    rows: list[PairRow] = []
+    dq_of = None
+    for p, q in pairs:
+        if dq_of != q:
+            dq, dq_of = c.bfs_distances(q), q
+        d = dq[p]
+        crossings = Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q, dq))
+        dw = odd_crossings(ws, crossings).settled_count
+        settled = all(ws.settled[w] for w in crossings)
+        single = sum(1 for k in crossings.values() if k == 1)
+        rows.append(PairRow(p, q, d, dw, Fraction(dw, d), settled, single))
+    return rows

@@ -22,7 +22,7 @@ from wallkit.complexes import (
 from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
 from wallkit.errors import BadParams, NotSmallCancellation, ParseError
 from wallkit.presentation import Presentation, gen_example, parse_presentation
-from wallkit.words import Word, symmetrize
+from wallkit.words import Word, render, symmetrize
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +527,26 @@ def test_check_b6_matches_recorded_report(name):
     for pc in rep.pieces:
         cell = c.cells[pc.occ1.cell]
         assert pc.path == tuple(cell[(pc.occ1.start + k) % len(cell)] for k in range(pc.length))
+
+
+@pytest.mark.parametrize("relator", [Word((1, 2) * 7), Word((1,) * 9)], ids=["tv", "odd-subdivided"])
+def test_ball_labels_render_on_first_read(relator, monkeypatch):
+    p = Presentation(("a", "b"), (relator,))
+    rendered = []
+    monkeypatch.setattr(complexes, "render", lambda w, names: rendered.append(w) or render(w, names))
+    c = build_cayley_ball(p, DehnMachine(p), 4)
+    if c.subdivided:
+        # the subdivided copy holds the labels of the ball's vertices
+        assert len(rendered) == len(c.vertex_labels) < c.nv
+    else:
+        assert rendered == []
+        words = [Word(p.word(c.vertex_labels[v]) if v else ()) for v in range(c.nv)]
+        assert [len(w) for w in words] == c.dist
+        assert len(rendered) == c.nv
+    labels = dict(c.vertex_labels)
+    assert c.vertex_labels.get(0) == "1" and c.vertex_labels.get(c.nv) is None
+    assert c.labeled(labels[len(labels) - 1]) == len(labels) - 1
+    assert len(rendered) == len(labels)  # rendered once
 
 
 # -- file round trip -----------------------------------------------------------------

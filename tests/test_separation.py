@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wallkit.complexes import build_cayley_ball, build_example1, build_example2
+from oracles import odd_crossings, per_pair_sweep
+from wallkit.complexes import Complex, build_cayley_ball, build_example1, build_example2
 from wallkit.dehn import DehnMachine
 from wallkit.errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
 from wallkit.presentation import gen_example
@@ -17,14 +19,16 @@ from wallkit.separation import (
     local_density_check,
     local_to_global_bound,
     neighborhood_probe,
+    pair_at,
     path_vertices,
     relator_neighborhood,
     report_to_csv,
     report_to_json,
     separation_constant,
+    sweep_pairs,
     verify_linear_separation,
 )
-from wallkit.walls import build_walls, wall_distance
+from wallkit.walls import WallSystem, build_walls, wall_distance
 
 
 @pytest.fixture(scope="module")
@@ -362,3 +366,117 @@ def test_report_formats(ex2):
         assert dw <= d
     js = report_to_json(rep)
     assert '"constant": "1/12"' in js
+
+
+# -- the per-source sweep engine ------------------------------------------------------
+
+
+def _grouped_pairs(verts):
+    verts = sorted(verts)
+    return sorted(((p, q) for i, p in enumerate(verts) for q in verts[i + 1:]), key=lambda pq: (pq[1], pq[0]))
+
+
+def _margin_ball():
+    # no cell closes inside radius 6, so the default margin settles every
+    # wall; a margin of 2 leaves the walls near the boundary unsettled
+    two = gen_example("tv", I={1, 2}, k=7)
+    c = build_cayley_ball(two, DehnMachine(two), 6)
+    return c, build_walls(c, settled_margin=2), sorted(random.Random(6).sample(range(c.nv), 120))
+
+
+def _theta_chain():
+    c = build_example1(range(1, 6))
+    return c, build_walls(c), range(c.nv)
+
+
+def _example2():
+    c = build_example2(2, 14)
+    return c, build_walls(c), range(c.nv)
+
+
+@pytest.mark.parametrize("build", [_margin_ball, _theta_chain, _example2], ids=["margin-ball", "theta", "example2"])
+def test_sweep_matches_per_pair_oracle(build):
+    c, ws, region = build()
+    pairs = _grouped_pairs(region)
+    rows = sweep_pairs(c, ws, pairs)
+    assert rows == per_pair_sweep(c, ws, pairs)
+    assert any(r.settled for r in rows)
+    if build is _margin_ball:
+        assert any(not r.settled for r in rows)
+
+
+def _crossing_path():
+    """Two legs of 8 edges out of vertex 0, with walls assigned by hand so
+    that geodesics cross one wall up to 5 times: wall 0 is edges 0, 2, 4 of
+    leg 0..8, wall 1 its odd edges and the first edge of leg 9..16, wall 6
+    (unsettled) edge 6 and three edges of the second leg, wall 11 the rest."""
+    edges = [(i, i + 1) for i in range(8)] + [(0, 9)] + [(i, i + 1) for i in range(9, 16)]
+    walls = {0: (0, 2, 4), 1: (1, 3, 5, 7, 9), 6: (6, 8, 10, 12), 11: (11, 13, 14, 15)}
+    wall_of_edge = [wid for eid in range(len(edges)) for wid, es in walls.items() if eid in es]
+    c = Complex(edges, [], 17)
+    settled = {0: True, 1: True, 6: False, 11: True}
+    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls}, settled)
+
+
+def test_sweep_counts_walls_crossed_three_and_four_times():
+    c, ws = _crossing_path()
+    pairs = _grouped_pairs(range(c.nv))
+    rows = sweep_pairs(c, ws, pairs)
+    assert rows == per_pair_sweep(c, ws, pairs)
+    by_pair = {(r.p, r.q): (r.d, r.dw, r.settled, r.in_a_count) for r in rows}
+    # 0..5: wall 0 three times, wall 1 twice
+    assert by_pair[0, 5] == (5, 1, True, 0)
+    # 0..8: wall 0 three times, wall 1 four times, wall 6 once
+    assert by_pair[0, 8] == (8, 1, False, 1)
+    # 8..16: walls 0, 1, 6, 11 crossed 3, 5, 4, 4 times
+    assert by_pair[8, 16] == (16, 2, False, 0)
+    assert any(r.in_a_count != r.dw for r in rows if r.settled)
+
+
+def test_sweep_follows_the_lex_least_geodesic():
+    # two geodesics join 2 to 0 on a square; the lex-least one, through
+    # edges 1 and 0, crosses wall 0 twice, the other crosses walls 2 and 3
+    c = Complex([(0, 1), (1, 2), (2, 3), (3, 0)], [], 4)
+    walls = {0: (0, 1), 2: (2,), 3: (3,)}
+    ws = WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+    assert geodesic(c, 2, 0) == [1, 0]
+    row = sweep_pairs(c, ws, [(2, 0)])[0]
+    assert (row.d, row.dw, row.in_a_count) == (2, 0, 0)
+    assert wall_distance(ws, 2, 0).settled_count == 0
+
+
+@pytest.mark.parametrize("build", [_margin_ball, _theta_chain, _crossing_path], ids=["margin-ball", "theta", "crossings"])
+def test_parity_wall_distance_matches_odd_crossings(build):
+    c, ws = build()[:2]
+    rng = random.Random(4)
+    for _ in range(60):
+        p, q = rng.sample(range(c.nv), 2)
+        want = odd_crossings(ws, Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q)))
+        assert wall_distance(ws, p, q) == want, (p, q)
+
+
+def test_sweep_rejects_equal_endpoints(ex2):
+    c, ws = ex2
+    with pytest.raises(BadParams, match="must differ"):
+        sweep_pairs(c, ws, [(1, 3), (3, 3)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_pair_at_follows_the_enumeration(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert [pair_at(n, k) for k in range(len(pairs))] == pairs
+    for bad in (-1, len(pairs)):
+        with pytest.raises(BadParams):
+            pair_at(n, bad)
+
+
+@pytest.mark.parametrize("size", [5, 12, 53])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_pairs_match_sampling_the_pair_list(ex2, size, seed):
+    c, ws = ex2
+    verts = sorted(random.Random(size).sample(range(c.nv), size))
+    pairs = [(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]]
+    for k in (1, 7, len(pairs) - 1):
+        want = sorted(random.Random(seed).sample(pairs, k))
+        rep = verify_linear_separation(c, ws, Fraction(1, 6), region=verts, observe=True, max_pairs=k, seed=seed)
+        assert [(r.p, r.q) for r in rep.rows] == want
