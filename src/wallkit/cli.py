@@ -75,6 +75,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from e
 
 
+def _max_pairs(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as "invalid _max_pairs value"
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"max_pairs must be >= 1, got {n}")
+    return n
+
+
 def _load_presentation(args) -> Presentation:
     if getattr(args, "input", None):
         return parse_presentation(Path(args.input).read_text(encoding="utf-8"))
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=int, default=6)
     sp.add_argument("--observe", action="store_true", help="record ratios with no verdict")
     sp.add_argument("--region", choices=("auto", "interior", "all"), default="auto")
-    sp.add_argument("--max-pairs", dest="max_pairs", type=int, default=None)
+    sp.add_argument("--max-pairs", dest="max_pairs", type=_max_pairs, default=None)
     sp.add_argument("--settled-policy", dest="settled_policy", choices=("margin", "all"), default="margin")
     sp.add_argument("--margin", type=int, default=None)
     sp.add_argument("--out", help="output directory for report.csv / summary.json")

@@ -13,6 +13,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
@@ -125,26 +126,65 @@ class Complex:
         return any(len(cell) % 2 for cell in self.cells)
 
 
-def geodesic(c: Complex, p: int, q: int, dist_to_q: list[int] | None = None) -> list[int]:
-    """Edge ids of the lexicographically least shortest p->q path.
-
-    Among shortest paths the edge-id sequence is minimized by greedily
-    taking the least progressing edge at each step.
+def geodesic_tree(c: Complex, q: int, targets: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """The lex-least geodesics from the targets to q, as one tree rooted at
+    q: ``{vertex: [(child, edge id), ...]}``.  Any edge into the level one
+    nearer q keeps a geodesic open and the first edge that differs decides
+    the order, so each vertex descends by its least edge id into that level.
+    The BFS from q, in level sets, stops after the last target's level.
+    BadParams for equal ends, an id outside 0..nv-1 or an unreached target.
     """
-    if p == q:
+    adj, nbrs = c.adjacency(), c.neighbours()
+    want = set(targets)
+    for v in (q, *want):
+        if not 0 <= v < c.nv:
+            raise BadParams(f"no vertex {v}: ids run 0..{c.nv - 1}")
+    if q in want:
         raise BadParams("geodesic endpoints must differ")
-    dq = dist_to_q if dist_to_q is not None else c.bfs_distances(q)
-    adj = c.adjacency()
+    # levels[k]: the vertices at distance k from q, up to the last target's
+    # level.  The neighbours of level k lie in levels k - 1, k and k + 1.
+    levels = [{q}]
+    level_of: dict[int, int] = {}
+    left = set(want)
+    prev: set[int] = set()
+    while left:
+        cur = levels[-1]
+        nxt = set(chain.from_iterable(map(nbrs.__getitem__, cur)))
+        nxt.difference_update(cur, prev)
+        if not nxt:
+            raise BadParams(f"vertex {min(left)} is not reached from {q}")
+        if not left.isdisjoint(nxt):
+            found = left & nxt
+            level_of.update(dict.fromkeys(found, len(levels)))
+            left -= found
+        prev = cur
+        levels.append(nxt)
+
+    children: dict[int, list[tuple[int, int]]] = {}
+    in_tree = {q}
+    for v in want:
+        k = level_of[v]
+        while v not in in_tree:
+            in_tree.add(v)
+            k -= 1
+            below = levels[k]
+            for w, eid in adj[v]:  # adjacency lists run in increasing edge id
+                if w in below:
+                    break
+            children.setdefault(w, []).append((v, eid))
+            v = w
+    return children
+
+
+def geodesic(c: Complex, p: int, q: int) -> list[int]:
+    """Edge ids of the lexicographically least shortest p->q path: the
+    chain from p in ``geodesic_tree(c, q, (p,))``."""
+    tree = geodesic_tree(c, q, (p,))
     path: list[int] = []
-    cur = p
-    while cur != q:
-        best: tuple[int, int] | None = None
-        for v, eid in adj[cur]:
-            if dq[v] == dq[cur] - 1 and (best is None or eid < best[0]):
-                best = (eid, v)
-        path.append(best[0])
-        cur = best[1]
-    return path
+    while q != p:
+        ((q, eid),) = tree[q]
+        path.append(eid)
+    return path[::-1]
 
 
 class _Builder:
@@ -809,7 +849,7 @@ def load_complex(text: str) -> Complex:
     idx += 1
     gens = tuple(meta.get("gens", "").split()) if meta.get("gens") else ()
     gen_index = {name: i for i, name in enumerate(gens)}
-    labels: dict[int, str] = {}
+    labels: dict[int, str | None] = {}  # None: a vertex line with no label
     edges: list[tuple[int, int]] = []
     edge_gens: dict[int, int] = {}
     cells: list[tuple[Token, ...]] = []
@@ -819,8 +859,9 @@ def load_complex(text: str) -> Complex:
             vid = _ints(ln, parts[1:], 1)[0]
             if not 0 <= vid < nv:
                 raise ParseError(f"line {ln!r} names a vertex outside 0..{nv - 1}")
-            if len(parts) > 2:
-                labels[vid] = ln.split(None, 2)[2].strip()
+            if vid in labels:
+                raise ParseError(f"vertex {vid} is listed twice")
+            labels[vid] = ln.split(None, 2)[2].strip() if len(parts) > 2 else None
         elif parts[0] == "e":
             eid, u, v = _ints(ln, parts[1:], 3)
             if eid != len(edges):
@@ -832,6 +873,8 @@ def load_complex(text: str) -> Complex:
                 edge_gens[eid] = gen_index[parts[4]]
         elif parts[0] == "c":
             vals = _ints(ln, parts[1:], max(1, len(parts) - 1))
+            if vals[0] != len(cells):
+                raise ParseError("cell ids must be consecutive")
             cells.append(tuple((abs(val) - 1, 1 if val > 0 else -1) for val in vals[1:]))
         else:
             raise ParseError(f"bad line {ln!r}")
@@ -841,7 +884,7 @@ def load_complex(text: str) -> Complex:
         edges,
         cells,
         nv,
-        labels,
+        {vid: lab for vid, lab in labels.items() if lab is not None},
         edge_gens,
         origin=meta.get("origin", "file"),
         radius=_ints("meta radius", [meta["radius"]], 1)[0] if "radius" in meta else None,

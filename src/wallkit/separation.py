@@ -55,9 +55,8 @@ class GeodesicContext:
         )
 
 
-def geodesic_context(c: Complex, ws: WallSystem, p: int, q: int,
-                     dist_to_q: list[int] | None = None) -> GeodesicContext:
-    edges = geodesic(c, p, q, dist_to_q)
+def geodesic_context(c: Complex, ws: WallSystem, p: int, q: int) -> GeodesicContext:
+    edges = geodesic(c, p, q)
     verts = path_vertices(c, p, edges)
     walls = [ws.wall_of_edge[eid] for eid in edges]
     return GeodesicContext(c, ws, p, q, edges, verts, walls, Counter(walls))
@@ -389,31 +388,13 @@ def default_region(c: Complex, ws: WallSystem) -> list[int]:
 
 
 def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) -> list[PairRow]:
-    """Per-pair geodesic/wall statistics, one row per pair, in order.
-
-    Each run of consecutive pairs with the same q is one call of
-    ``geodesic_crossings``, so pass pairs grouped by q.  It reproduces
-    ``geodesic(c, p, q)`` for every p of the run without walking it:
-
-    - Its BFS from q stops after the level of the last p.  The greedy
-      step of ``geodesic`` at v only asks which neighbours lie one level
-      nearer q than v, and all those levels are complete by then.
-    - A vertex's descent edge is its least edge id into the level one
-      nearer q: the edge ``geodesic`` takes there.  So the chain of
-      descent edges from p is ``geodesic(c, p, q)``, and the chains of all
-      the p form a tree rooted at q.  One depth-first walk of that tree
-      counts each wall's crossings, undoing each edge on the way back,
-      and reads each p's row when it reaches p.
-
-    A geodesic repeats no edge, so each wall it crosses once marks one
-    single-crossing edge: the row's in_A_count.
-    """
+    """Per-pair geodesic/wall statistics, one row per pair, in order.  Each
+    run of consecutive pairs with the same q is one ``geodesic_crossings``
+    call, so pass pairs grouped by q."""
     rows: list[PairRow] = []
     ratios: dict[tuple[int, int], Fraction] = {}
     for q, group in groupby(pairs, key=itemgetter(1)):
         ps = [p for p, _ in group]
-        if q in ps:
-            raise BadParams("geodesic endpoints must differ")
         stats = geodesic_crossings(c, ws, q, ps)
         for p in ps:
             d, dw, _, unsettled, in_a = stats[p]

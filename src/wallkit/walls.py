@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Literal
 
-from .complexes import Complex
+from .complexes import Complex, geodesic_tree
 from .errors import BadParams, OddCell
 
 SettledPolicy = Literal["margin", "all"]
@@ -483,61 +483,27 @@ class WallDistance:
 def geodesic_crossings(
     c: Complex, ws: WallSystem, q: int, targets: Iterable[int]
 ) -> dict[int, tuple[int, int, int, int, int]]:
-    """Crossing statistics of ``geodesic(c, p, q)`` for every target p != q,
-    from one BFS from q and one walk of the tree of those geodesics (see
-    ``separation.sweep_pairs`` for why the tree holds them).
+    """Crossing statistics of ``geodesic(c, p, q)`` for every target p, from
+    one walk of ``geodesic_tree(c, q, targets)``.
 
     Each target maps to ``(d, dw, odd_unsettled, unsettled, in_a)``: the
     path length, the settled and the unsettled walls crossed an odd number
-    of times, the crossings of unsettled walls, and the walls crossed
-    exactly once.
+    of times, the crossings of unsettled walls, and the walls crossed once,
+    each of which marks one single-crossing edge (geodesics repeat no edge).
     """
-    adj, nbrs = c.adjacency(), c.neighbours()
     want = set(targets)
-    want.discard(q)
-    # levels[k]: the vertices at distance k from q, up to the last target's
-    # level.  The neighbours of level k lie in levels k - 1, k and k + 1.
-    levels = [{q}]
-    level_of: dict[int, int] = {}
-    left = set(want)
-    prev: set[int] = set()
-    while left:
-        cur = levels[-1]
-        nxt = set(chain.from_iterable(map(nbrs.__getitem__, cur)))
-        nxt.difference_update(cur, prev)
-        if not nxt:
-            raise BadParams(f"vertex {min(left)} is not reached from {q}")
-        if not left.isdisjoint(nxt):
-            found = left & nxt
-            level_of.update(dict.fromkeys(found, len(levels)))
-            left -= found
-        prev = cur
-        levels.append(nxt)
-
-    wall_of_edge = ws.wall_of_edge
-    children: dict[int, list[tuple[int, int]]] = {}  # vertex -> (child, wall of its descent edge)
-    in_tree = {q}
-    for v in want:
-        k = level_of[v]
-        while v not in in_tree:
-            in_tree.add(v)
-            k -= 1
-            below = levels[k]
-            for w, eid in adj[v]:  # adjacency lists run in increasing edge id
-                if w in below:
-                    break
-            children.setdefault(w, []).append((v, wall_of_edge[eid]))
-            v = w
+    children = geodesic_tree(c, q, want)
 
     # one walk of the tree from q, with running per-wall crossing counts
-    settled = ws.settled
+    wall_of_edge, settled = ws.wall_of_edge, ws.settled
     count = [0] * len(c.edges)  # per wall id, the least edge id of the wall
     out: dict[int, tuple[int, int, int, int, int]] = {}
     d = dw = odd_unsettled = unsettled = in_a = 0
-    stack = list(children.get(q, ()))  # (child, wall) to enter, (-1, wall) to leave
+    stack = list(children.get(q, ()))  # (child, edge id) to enter, (-1, wall) to leave
     while stack:
         v, wid = stack.pop()
         if v >= 0:
+            wid = wall_of_edge[wid]
             k = count[wid]
             count[wid] = k + 1
             d += 1

@@ -10,7 +10,6 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 
-from wallkit.complexes import geodesic
 from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
 from wallkit.errors import BudgetExceeded
 from wallkit.presentation import Piece, PieceIndex, Presentation
@@ -489,6 +488,23 @@ def odd_crossings(ws, crossings: Counter) -> WallDistance:
     return WallDistance(settled, unsettled)
 
 
+def greedy_geodesic(c, p, q, dq) -> list[int]:
+    """Edge ids of the lexicographically least shortest p->q path, walked
+    greedily from p over the full distances dq to q: at each step the least
+    edge id into the next level."""
+    adj = c.adjacency()
+    path: list[int] = []
+    cur = p
+    while cur != q:
+        best: tuple[int, int] | None = None
+        for v, eid in adj[cur]:
+            if dq[v] == dq[cur] - 1 and (best is None or eid < best[0]):
+                best = (eid, v)
+        path.append(best[0])
+        cur = best[1]
+    return path
+
+
 def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
     """Sweep rows pair by pair: one full BFS per run of pairs with the same
     q, then a fresh geodesic walk and crossing count per pair."""
@@ -498,7 +514,7 @@ def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
         if dq_of != q:
             dq, dq_of = c.bfs_distances(q), q
         d = dq[p]
-        crossings = Counter(ws.wall_of_edge[eid] for eid in geodesic(c, p, q, dq))
+        crossings = Counter(ws.wall_of_edge[eid] for eid in greedy_geodesic(c, p, q, dq))
         dw = odd_crossings(ws, crossings).settled_count
         settled = all(ws.settled[w] for w in crossings)
         single = sum(1 for k in crossings.values() if k == 1)

@@ -337,6 +337,16 @@ def test_separation_rejects_non_positive_max_pairs(tmp_path, max_pairs):
     assert rc == 2 and "max_pairs" in err and "pairs=" not in out
 
 
+def test_separation_rejects_max_pairs_before_the_build(tmp_path):
+    # the radius-30 build alone would run into the vertex budget
+    out_dir = tmp_path / "D"
+    rc, out, err = run_cli(
+        "separation", "--family", "tv", "--I", "1,2", "--radius", "30", "--max-pairs", "0", "--out", str(out_dir),
+    )
+    assert rc == 2 and "max_pairs" in err and out == ""
+    assert not out_dir.exists()
+
+
 def test_examples_listing():
     rc, out, _ = run_cli("examples")
     assert rc == 0

@@ -595,6 +595,29 @@ def test_load_rejects_vertex_past_end(line):
         load_complex(f"wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\n{line}\ne 0 0 1\n")
 
 
+def test_load_rejects_a_repeated_vertex_line():
+    # "v 0 q'" written where "v 1 q'" stood would leave vertex 1 unlabelled
+    with pytest.raises(ParseError, match="vertex 0 is listed twice"):
+        load_complex("wallkit-complex 1\ncounts 2 1 0\nv 0\nv 0 q'\ne 0 0 1\n")
+
+
+def _two_triangles(a: int, b: int) -> str:
+    """Two triangles on a square with diagonal 0-2, as cells a and b."""
+    return (
+        "wallkit-complex 1\ncounts 4 5 2\nv 0\nv 1\nv 2\nv 3\n"
+        "e 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\ne 4 0 2\n"
+        f"c {a} 1 2 -5\nc {b} 5 3 4\n"
+    )
+
+
+@pytest.mark.parametrize("ids", [(7, 3), (1, 0), (0, 0)])
+def test_load_rejects_cell_ids_out_of_order(ids):
+    # cells load by position, so other ids than 0, 1 would be renumbered
+    with pytest.raises(ParseError, match="cell ids must be consecutive"):
+        load_complex(_two_triangles(*ids))
+    assert load_complex(_two_triangles(0, 1)).cells == [((0, 1), (1, 1), (4, -1)), ((4, 1), (2, 1), (3, 1))]
+
+
 def test_load_rejects_backtracking_cell():
     # edge 0 out and straight back: not an immersed cycle
     with pytest.raises(ParseError):

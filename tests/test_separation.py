@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import odd_crossings, per_pair_sweep
+from oracles import greedy_geodesic, odd_crossings, per_pair_sweep
 from wallkit.complexes import Complex, build_cayley_ball, build_example1, build_example2
 from wallkit.dehn import DehnMachine
 from wallkit.errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
@@ -35,6 +35,12 @@ from wallkit.walls import WallSystem, build_walls, wall_distance
 def tree():
     free = gen_example("free")
     return build_cayley_ball(free, DehnMachine(free), 3)
+
+
+@pytest.fixture(scope="module")
+def ball7():
+    one = gen_example("tv", I={1}, k=7)
+    return build_cayley_ball(one, DehnMachine(one), 7)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +85,50 @@ def test_geodesic_deterministic_lex_least():
 def test_example1_geodesic_length():
     c = build_example1([1])
     assert len(geodesic(c, c.labeled("a1"), c.labeled("e1"))) == 8
+
+
+def test_geodesic_matches_greedy_oracle(tree, ball7):
+    cases = [
+        (c, [(p, q) for q in range(c.nv) for p in range(c.nv) if p != q])
+        for c in (tree, build_example1([1, 2, 3]), build_example2(2, 14), _square()[0])
+    ]
+    rng = random.Random(13)
+    cases.append((ball7, [tuple(rng.sample(range(ball7.nv), 2)) for _ in range(200)]))
+    for c, pairs in cases:
+        dq: dict[int, list[int]] = {}
+        for p, q in pairs:
+            if q not in dq:
+                dq[q] = c.bfs_distances(q)
+            assert geodesic(c, p, q) == greedy_geodesic(c, p, q, dq[q]), (p, q)
+
+
+def _two_components():
+    c = Complex([(0, 1), (2, 3)], [], 4)
+    walls = {0: (0,), 1: (1,)}
+    return c, WallSystem(c, [0, 1], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+
+
+def _example1():
+    c = build_example1([1])
+    return c, build_walls(c)
+
+
+@pytest.mark.parametrize(
+    "build, p, q, message",
+    [
+        (_example1, -2, 0, r"no vertex -2: ids run 0\.\.16"),
+        (_example1, 0, -1, r"no vertex -1: ids run 0\.\.16"),
+        (_example1, 0, 17, r"no vertex 17: ids run 0\.\.16"),
+        (_two_components, 0, 2, "vertex 0 is not reached from 2"),
+        (_two_components, 3, 1, "vertex 3 is not reached from 1"),
+    ],
+    ids=["p=-2", "q=-1", "q=nv", "unreachable", "unreachable-reversed"],
+)
+@pytest.mark.parametrize("via", ["geodesic", "geodesic_context"])
+def test_geodesic_rejects_ends_outside_the_graph(build, p, q, message, via):
+    c, ws = build()
+    with pytest.raises(BadParams, match=message):
+        geodesic(c, p, q) if via == "geodesic" else geodesic_context(c, ws, p, q)
 
 
 # -- single-crossing edges -----------------------------------------------------------
@@ -433,12 +483,16 @@ def test_sweep_counts_walls_crossed_three_and_four_times():
     assert any(r.in_a_count != r.dw for r in rows if r.settled)
 
 
-def test_sweep_follows_the_lex_least_geodesic():
-    # two geodesics join 2 to 0 on a square; the lex-least one, through
-    # edges 1 and 0, crosses wall 0 twice, the other crosses walls 2 and 3
+def _square():
+    """Two geodesics join 2 to 0 on a square; the lex-least one, through
+    edges 1 and 0, crosses wall 0 twice, the other crosses walls 2 and 3."""
     c = Complex([(0, 1), (1, 2), (2, 3), (3, 0)], [], 4)
     walls = {0: (0, 1), 2: (2,), 3: (3,)}
-    ws = WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+    return c, WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+
+
+def test_sweep_follows_the_lex_least_geodesic():
+    c, ws = _square()
     assert geodesic(c, 2, 0) == [1, 0]
     row = sweep_pairs(c, ws, [(2, 0)])[0]
     assert (row.d, row.dw, row.in_a_count) == (2, 0, 0)
