@@ -373,6 +373,8 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
 
     Used only to bucket candidate vertices during ball construction: merges
     are always re-verified exactly, so these affect speed, not correctness.
+    Each quotient has at most 9 points, so the union has at most 27: far
+    below the 256 that ElementTable's bytes image can hold.
     """
     g = len(p.generators)
     union: dict[int, list[int]] = {s * (gi + 1): [] for gi in range(g) for s in (1, -1)}
@@ -418,6 +420,10 @@ class ElementTable:
     words are geodesic, hence Dehn-reduced, so a >half relator subword of
     the freely reduced w*x can only be a suffix: a move runs Dehn's
     algorithm only when one automaton step from w's state hits.
+
+    The quotient image is a ``bytes`` of the points' images, stepped by x
+    with one ``translate`` through x's 256-byte table; the abelian residue
+    is stepped through a per-letter memo, so elements share residue tuples.
     """
 
     def __init__(self, p: Presentation, m: DehnMachine, *, vertex_budget: int, seed: int = 0):
@@ -426,23 +432,38 @@ class ElementTable:
         self.p, self.m, self.vertex_budget = p, m, vertex_budget
         self.letters = sorted((s * (gi + 1) for gi in range(g) for s in (1, -1)), key=letter_rank)
         self.perms = _find_finite_quotients(p, seed)
+        points = len(next(iter(self.perms.values()), ()))
+        if points > 256:
+            raise ValueError(f"quotient union has {points} points; a bytes image holds at most 256")
+        self.tabs = {x: bytes(perm) + bytes(range(points, 256)) for x, perm in self.perms.items()}
         self.ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
+        self.ab_step: dict[int, dict[tuple, tuple]] = {x: {} for x in self.letters}
         self.delta, self.hit = m.automaton()
         self.words: list[Word] = [Word()]
         self.vid_of: dict[Word, int] = {Word(): 0}
         self.state = array("l", [0])
         # bucket key: (image of the quotients' points, abelian residue)
-        self.keys: list[tuple] = [(tuple(range(len(next(iter(self.perms.values()), ())))), (0,) * g)]
-        self.buckets: dict[tuple, list[int]] = {self.keys[0]: [0]}
+        self.keys: list[tuple[bytes, tuple]] = [(bytes(range(points)), (0,) * g)]
+        self.buckets: dict[tuple[bytes, tuple], list[int]] = {self.keys[0]: [0]}
         self.spheres = [0, 1]
+
+    def _residue_step(self, x: int, residue: tuple) -> tuple:
+        """The abelian residue of an element with ``residue`` times x."""
+        nxt = self.ab_step[x].get(residue)
+        if nxt is None:
+            ab = list(residue)
+            ab[abs(x) - 1] += 1 if x > 0 else -1
+            nxt = self.ab_step[x][residue] = _ab_residue(ab, self.ab_basis)
+        return nxt
 
     def walk(self, make: bool = True) -> Iterator[tuple[int, int, int | None]]:
         """Yield ``(u, x, v)``, v the element of u*x, for each move out of
         the outermost whole sphere in shortlex order, but the one back along
         u's last letter.  With ``make`` a v not in the table is made (else it
         is None), and the walk closes the next sphere when it ends."""
-        m, hit, relators, perms, ab_basis = self.m, self.hit, self.p.relators, self.perms, self.ab_basis
+        m, hit, relators, tabs, ab_step = self.m, self.hit, self.p.relators, self.tabs, self.ab_step
         words, vid_of, state, keys, buckets = self.words, self.vid_of, self.state, self.keys, self.buckets
+        trusted = Word._trusted
         for u in range(self.spheres[-2], self.spheres[-1]):
             wu = words[u]
             step = self.delta[state[u]]
@@ -452,10 +473,8 @@ class ElementTable:
                     continue  # back to the prefix element, whose move made u
                 s = step[x]
                 cand = wu + (x,)  # a plain tuple until it is needed as a Word
-                ab = list(residue)
-                ab[abs(x) - 1] += 1 if x > 0 else -1
-                key = (tuple(map(perms[x].__getitem__, image)), _ab_residue(ab, ab_basis))
-                reduced = dehn_reduce(Word(cand), m) if hit[s] else cand
+                key = (image.translate(tabs[x]), ab_step[x].get(residue) or self._residue_step(x, residue))
+                reduced = dehn_reduce(trusted(cand), m) if hit[s] else cand
                 v = vid_of.get(reduced)
                 if v is None and relators:
                     for b in buckets.get(key, ()):
@@ -468,7 +487,7 @@ class ElementTable:
                             f"vertex budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}"
                         )
                     v = len(words)
-                    cand = Word(cand)
+                    cand = trusted(cand)
                     words.append(cand)
                     vid_of[cand] = v
                     state.append(s)
@@ -478,6 +497,14 @@ class ElementTable:
         if make:
             self.spheres.append(len(words))
 
+    def key(self, w: Sequence[int]) -> tuple[bytes, tuple]:
+        """The bucket key of w's element, stepped letter by letter from the
+        identity's as a move steps it."""
+        image, residue = self.keys[0]
+        for x in w:
+            image, residue = image.translate(self.tabs[x]), self._residue_step(x, residue)
+        return image, residue
+
     def index(self, w: Word) -> int:
         """The id of the element of the Dehn-reduced word w.  If the table
         does not hold it, the table grows in shortlex order up to the first
@@ -486,7 +513,7 @@ class ElementTable:
         the unfinished sphere again and finds what it made by lookup."""
         if w in self.vid_of:
             return self.vid_of[w]
-        key = (_act(self.perms, w, self.keys[0][0]), _ab_residue(_ab_vector(w, len(self.p.generators)), self.ab_basis))
+        key = self.key(w)
         for v in self.buckets.get(key, ()):
             if is_trivial(w + self.words[v].inverse(), self.m):
                 return v
@@ -544,7 +571,8 @@ def build_cayley_ball(
     table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
     edges: list[tuple[int, int]] = []
     edge_gens: dict[int, int] = {}
-    out_map: dict[tuple[int, int], tuple[int, int]] = {}  # (vertex, letter) -> (vertex, edge)
+    # letter x -> vertex u -> (vertex u*x, edge id)
+    out_map: dict[int, dict[int, tuple[int, int]]] = {x: {} for x in table.letters}
     # The last pass (level == radius) makes no element: it only closes edges
     # among the boundary vertices, and a move that meets no element leaves
     # the ball.
@@ -552,23 +580,24 @@ def build_cayley_ball(
         for u, x, v in table.walk(make=level < radius):
             # u * letter(x) = v, stored in the positive letter direction;
             # the move v * letter(-x) = u is recorded with it
-            if v is None or (u, x) in out_map:
+            if v is None or u in out_map[x]:
                 continue
             eid = len(edges)
             edges.append((u, v) if x > 0 else (v, u))
             edge_gens[eid] = abs(x) - 1
-            out_map[(u, x)] = (v, eid)
-            out_map[(v, -x)] = (u, eid)
+            out_map[x][u] = (v, eid)
+            out_map[-x][v] = (u, eid)
 
     # attach relator cells whose whole boundary lies in the ball
     cells: list[tuple[Token, ...]] = []
     seen_cells: set[frozenset[int]] = set()
     for r in p.relators:
+        steps = [out_map[x] for x in r]
         for v0 in range(len(table.words)):
             cur = v0
             toks: list[Token] = []
-            for letter in r:
-                step = out_map.get((cur, letter))
+            for moves in steps:
+                step = moves.get(cur)
                 if step is None:
                     break
                 nbr, eid = step

@@ -24,8 +24,14 @@ class Word(tuple):
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
         return w
 
+    @staticmethod
+    def _trusted(letters: Iterable[int]) -> "Word":
+        """A Word of letters already known to be valid, taken from other
+        Words: no check.  Parse, load and public callers use ``Word()``."""
+        return tuple.__new__(Word, letters)
+
     def inverse(self) -> "Word":
-        return Word(-x for x in reversed(self))
+        return Word._trusted(-x for x in reversed(self))
 
     def is_freely_reduced(self) -> bool:
         return all(self[i] != -self[i + 1] for i in range(len(self) - 1))
@@ -39,7 +45,7 @@ class Word(tuple):
         if not self:
             return self
         k %= len(self)
-        return Word(self[k:] + self[:k])
+        return Word._trusted(self[k:] + self[:k])
 
     def cyclic_shifts(self) -> Iterator["Word"]:
         for k in range(len(self)):
@@ -64,7 +70,7 @@ def concat(*ws: Word) -> Word:
     out: list[int] = []
     for w in ws:
         out.extend(w)
-    return Word(out)
+    return Word._trusted(out)
 
 
 def free_reduce(w: Word) -> Word:
@@ -75,7 +81,7 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(x)
-    return Word(stack)
+    return Word._trusted(stack)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

@@ -10,6 +10,7 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 
+from wallkit.complexes import _ab_residue, _ab_vector
 from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
 from wallkit.errors import BudgetExceeded
 from wallkit.presentation import Piece, PieceIndex, Presentation
@@ -209,6 +210,19 @@ def shortlex_search(w: Word, m: DehnMachine) -> Word:
         if is_trivial(cand + target_inv, m):
             return cand
     return reduced
+
+
+# -- element-table bucket keys ---------------------------------------------------
+
+
+def bucket_key(perms: dict[int, tuple[int, ...]], ab_basis, w) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bucket key of w: the quotients' points stepped through w one
+    letter at a time as tuples, and the abelian residue of w's exponent sums
+    computed at once."""
+    image = tuple(range(len(next(iter(perms.values()), ()))))
+    for x in w:
+        image = tuple(map(perms[x].__getitem__, image))
+    return image, _ab_residue(_ab_vector(w, len(perms) // 2), ab_basis)
 
 
 # -- free-product normal form for one-relator powers ---------------------------

@@ -347,6 +347,20 @@ def test_separation_rejects_max_pairs_before_the_build(tmp_path):
     assert not out_dir.exists()
 
 
+def test_bad_letters_exit_input(tmp_path):
+    # Words are validated where they are read: an unknown name in a relator
+    # or in the queried word exits 2 before anything is built.
+    bad = tmp_path / "bad.pres"
+    bad.write_text("gens: a b\nrel: a c b\n")
+    for args in (
+        ("check", "--input", str(bad)),
+        ("word", "--input", str(bad), "a"),
+        ("word", "--family", "tv", "--I", "1", "a x"),
+    ):
+        rc, out, err = run_cli(*args)
+        assert rc == 2 and err.startswith("error:") and out == "", args
+
+
 def test_examples_listing():
     rc, out, _ = run_cli("examples")
     assert rc == 0

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,57 @@ def test_automaton_hit_iff_move_reduces():
             moves += 1
             hits += h
     assert (moves, hits) == (3 * c.nv + 1, 2)
+
+
+@pytest.mark.parametrize(
+    "make, radius",
+    [(lambda: gen_example("tv", I={1, 2}, k=7), 7), (lambda: gen_example("free"), 4)],
+    ids=["tv12-r7", "free-r4"],
+)
+def test_ball_edges_cover_every_inner_move_once(make, radius):
+    p = make()
+    c = build_cayley_ball(p, DehnMachine(p), radius)
+    moves = Counter()
+    for eid, (u, v) in enumerate(c.edges):
+        gen = c.edge_gens[eid] + 1
+        moves[(u, gen)] += 1
+        moves[(v, -gen)] += 1
+    letters = {s * (gi + 1) for gi in range(len(p.generators)) for s in (1, -1)}
+    for v in range(c.nv):
+        if c.dist[v] < radius:
+            assert all(moves[(v, x)] == 1 for x in letters), v
+    assert max(moves.values()) == 1
+    assert max(Counter((u, v, c.edge_gens[eid]) for eid, (u, v) in enumerate(c.edges)).values()) == 1
+
+
+def test_element_table_refuses_more_quotient_points_than_a_byte_holds(monkeypatch):
+    p = gen_example("tv", I={1, 2}, k=7)
+    wide = {x: tuple(range(257)) for x in (1, -1, 2, -2)}
+    monkeypatch.setattr(complexes, "_find_finite_quotients", lambda p, seed: wide)
+    with pytest.raises(ValueError, match="257 points"):
+        build_cayley_ball(p, DehnMachine(p), 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_example("tv", I={1}, k=7),
+        lambda: gen_example("tv", I={1, 2}, k=7),
+        lambda: gen_example("tv", I={1, 2, 3}, k=7),
+        lambda: gen_example("pride", n_max=1),
+        lambda: gen_example("rips", q_generators=("a1",), j_max=1, scale=1),
+        lambda: gen_example("free"),
+    ],
+    ids=["tv1", "tv12", "tv123", "pride", "rips", "free"],
+)
+def test_quotient_union_fits_a_byte_image(make):
+    # Up to three quotients of at most 9 points each.
+    p = make()
+    for seed in range(10):
+        perms = complexes._find_finite_quotients(p, seed)
+        points = len(perms[1])
+        assert points <= 27
+        assert all(sorted(perm) == list(range(points)) for perm in perms.values())
 
 
 def test_tv12_ball_validity():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import completes_half_relator, free_product_trivial, half_relator_prefixes, shortlex_search
+from oracles import bucket_key, completes_half_relator, free_product_trivial, half_relator_prefixes, shortlex_search
 from wallkit import complexes
 from wallkit.dehn import (
     DehnMachine,
@@ -321,6 +321,57 @@ def test_normal_form_is_exact_when_bucket_keys_collide(monkeypatch):
         m = DehnMachine(p)
         assert shortlex_normal_form(w, m) == shortlex_search(w, m) == w
     assert len(m.elements().buckets) < len(m.elements().words) // 2
+
+
+def _grown_table(m, radius, seed):
+    table = complexes.ElementTable(m.presentation, m, vertex_budget=100_000, seed=seed)
+    for _ in range(radius):
+        for _ in table.walk():
+            pass
+    return table
+
+
+def _assert_keys_match_oracle(table):
+    assert len(table.keys) == len(table.words)
+    for v, w in enumerate(table.words):
+        image, residue = table.keys[v]
+        assert (tuple(image), residue) == bucket_key(table.perms, table.ab_basis, w), w
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("I, radius", [({1}, 7), ({1, 2}, 7), ({1, 2, 3}, 6)], ids=["tv1", "tv12", "tv123"])
+def test_bucket_keys_match_tuple_oracle(I, radius, seed):
+    # Each move steps its key from its parent's: a bytes image through one
+    # translate table and the residue through the per-letter memo.
+    table = _grown_table(DehnMachine(gen_example("tv", I=I, k=7)), radius, seed)
+    assert len(table.keys[0][0]) > 0 and table.ab_basis
+    _assert_keys_match_oracle(table)
+
+
+def test_bucket_keys_match_tuple_oracle_on_three_generators():
+    # TIES fails C'(1/6), so Dehn's algorithm need not solve its word
+    # problem and the table need not be exact; its keys are still functions
+    # of the stored words, now over six letters and a rank-3 lattice.
+    m = DehnMachine(parse_presentation(TIES))
+    m.small_cancellation_ok = True
+    table = _grown_table(m, 3, 0)
+    assert len(table.words) > 50 and len(table.ab_basis) == 3
+    _assert_keys_match_oracle(table)
+
+
+def test_bucket_keys_of_normal_form_queries_match_tuple_oracle():
+    # The keys index() computes for the queried words, read first: a wrong
+    # one would make index() grow the table up to the node budget.  Then the
+    # elements made while index() grew the table.
+    m = DehnMachine(gen_example("tv", I={1, 2}, k=7))
+    table = m.elements()
+    for w in RANDOM_WORDS:
+        image, residue = table.key(w)
+        assert (tuple(image), residue) == bucket_key(table.perms, table.ab_basis, w), w
+    for w in RANDOM_WORDS:
+        shortlex_normal_form(w, m)
+    assert len(table.words) > 1000
+    _assert_keys_match_oracle(table)
 
 
 def test_huge_relator_index_guarded():

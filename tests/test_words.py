@@ -17,6 +17,19 @@ letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=40).map(Word)
 
 
+@pytest.mark.parametrize("letters", [[0], [1.5], ["a"], [1, 0, -1]])
+def test_word_rejects_bad_letters(letters):
+    with pytest.raises(ValueError, match="bad letter"):
+        Word(letters)
+
+
+def test_internal_constructions_keep_the_word_type():
+    w = Word((1, 2, -1))
+    for out in (w.inverse(), w.cyclic_shift(1), free_reduce(w), concat(w, w)):
+        assert type(out) is Word
+    assert (w.inverse(), w.cyclic_shift(1), concat(w, w)) == ((1, -2, -1), (2, -1, 1), (1, 2, -1, 1, 2, -1))
+
+
 def test_free_reduce_examples():
     assert free_reduce(Word((1, -1))) == Word()
     assert free_reduce(Word((1, 2, -2, 1))) == Word((1, 1))
