@@ -25,7 +25,7 @@ ball = build_cayley_ball(p, m, 7)
 print(f"radius-7 ball: {ball.nv} vertices, {len(ball.edges)} edges, {len(ball.cells)} cells")
 print("validity:", validity_summary(ball))
 
-ws = build_walls(ball, settled_policy="all")
+ws = build_walls(ball)
 print("wall sizes:", dict(Counter(len(e) for e in ws.walls.values())))
 
 # Every wall two-sides the ball and every hypergraph is a tree.
@@ -39,10 +39,3 @@ split = wall_components(ws, wid)
 print(f"\nwall {wid}: edges {ws.walls[wid]}, sides of sizes",
       sorted(len(s) for s in split.sides))
 print(dump_walls(ws, [wid]))
-
-# With the conservative truncation margin nothing at this radius is
-# certified against the missing cells outside the ball.
-ws_margin = build_walls(ball)
-print("settled under the faithful margin policy:", sum(ws_margin.settled.values()))
-ws_m1 = build_walls(ball, settled_margin=1)
-print("settled with margin 1:", sum(ws_m1.settled.values()))

@@ -26,7 +26,7 @@ print("separation constant at 1/6:", separation_constant(Fraction(1, 6)))
 # metrics agree on the nose.
 p = gen_example("tv", I={1, 2}, k=7)
 ball = build_cayley_ball(p, DehnMachine(p), 6)
-ws = build_walls(ball, settled_policy="all")
+ws = build_walls(ball)
 rep = verify_linear_separation(ball, ws, Fraction(1, 6), region=range(0, ball.nv, 23))
 print(f"ball sweep: {rep.pair_count} pairs, min ratio {rep.min_ratio}, passed {rep.passed}")
 

@@ -15,7 +15,6 @@ from .errors import (
     OddCell,
     ParseError,
     UnknownGenerator,
-    UnsettledWall,
     WallkitError,
 )
 from .words import Word, concat, cyclic_reduce, free_reduce, render, symmetrize
@@ -73,7 +72,6 @@ from .separation import (
     RelatorNeighborhood,
     SeparationReport,
     cover_split,
-    default_region,
     density_threshold,
     geodesic_context,
     local_density_check,

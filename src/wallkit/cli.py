@@ -22,14 +22,12 @@ from .complexes import (
     build_example2,
     load_complex,
     save_complex,
-    validity_summary,
 )
 from .dehn import DEFAULT_NODE_BUDGET, DehnMachine, dehn_reduce, env_budget, shortlex_normal_form
-from .errors import BudgetExceeded, ParseError, WallkitError
+from .errors import BudgetExceeded, HypothesisViolated, ParseError, WallkitError
 from .presentation import Presentation, check_small_cancellation, gen_example, parse_presentation
 from .separation import (
     admissible_lambda,
-    default_region,
     report_to_csv,
     report_to_json,
     verify_linear_separation,
@@ -141,6 +139,15 @@ def cmd_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _refuse(cfg: RunConfig, kind: str, e: Exception, code: int) -> int:
+    """Report a run that ends before any pair is checked; the summary keeps
+    only the error and the failed verdict."""
+    print(f"{kind}: {e}", file=sys.stderr)
+    if cfg.out_dir:
+        (cfg.out_dir / "summary.json").write_text(json.dumps({"error": str(e), "passed": False}, indent=2) + "\n")
+    return code
+
+
 def cmd_separation(args) -> int:
     cfg = RunConfig(
         lam=args.lam,
@@ -154,46 +161,21 @@ def cmd_separation(args) -> int:
     if cfg.out_dir:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        c, p = _build_complex(args, cfg)
+        c, _ = _build_complex(args, cfg)
     except BudgetExceeded as e:
-        print(f"budget: {e}", file=sys.stderr)
-        if cfg.out_dir:
-            (cfg.out_dir / "summary.json").write_text(
-                json.dumps({"error": str(e), "passed": False}, indent=2) + "\n"
-            )
-        return EXIT_BUDGET
-
-    ws = build_walls(c, settled_policy=args.settled_policy, settled_margin=args.margin)
-    region_mode = args.region
-    if args.region == "all":
-        region = list(range(c.nv))
-    else:
-        region = default_region(c, ws)
-        if not region and args.region == "auto":
-            # The faithful interior is empty at this radius.  When the ball
-            # is a valid complex in its own right, fall back to a seeded
-            # vertex sample with every wall treated as settled.
-            if validity_summary(c, cfg.lam).ok:
-                rng = random.Random(cfg.seed)
-                k = min(c.nv, 240)
-                region = sorted(rng.sample(range(c.nv), k))
-                ws.settled = dict.fromkeys(ws.walls, True)
-                region_mode = "auto:intrinsic-sample"
-            else:
-                region_mode = "auto:empty-interior"
-    report = verify_linear_separation(
-        c,
-        ws,
-        cfg.lam,
-        region=region,
-        observe=args.observe,
-        max_pairs=args.max_pairs,
-        seed=cfg.seed,
-    )
+        return _refuse(cfg, "budget", e, EXIT_BUDGET)
+    ws = build_walls(c)
+    region = None
+    if args.region == "auto":
+        region = sorted(random.Random(cfg.seed).sample(range(c.nv), min(c.nv, 240)))
+    try:
+        report = verify_linear_separation(
+            c, ws, cfg.lam, region=region, observe=args.observe, max_pairs=args.max_pairs, seed=cfg.seed
+        )
+    except HypothesisViolated as e:
+        return _refuse(cfg, "error", e, EXIT_FAIL)
     csv_text = report_to_csv(report)
-    payload = json.loads(report_to_json(report))
-    payload["region"] = region_mode
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json_text = report_to_json(report)
     if cfg.out_dir:
         (cfg.out_dir / "report.csv").write_text(csv_text)
         (cfg.out_dir / "summary.json").write_text(json_text)
@@ -208,8 +190,6 @@ def cmd_separation(args) -> int:
         f"min_ratio={_frac_str(mr) if mr is not None else 'n/a'} "
         f"{'observe' if report.observe else ('pass' if report.passed else 'FAIL')}"
     )
-    if report.observe:
-        return EXIT_PASS
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -236,7 +216,7 @@ def cmd_walls_dump(args) -> int:
         seed=args.seed,
     )
     c, _ = _build_complex(args, cfg)
-    ws = build_walls(c, settled_policy=args.settled_policy, settled_margin=args.margin)
+    ws = build_walls(c)
     text = dump_walls(ws)
     if args.out:
         Path(args.out).write_text(text)
@@ -301,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 6))
     sp.add_argument("--radius", type=int, default=6)
     sp.add_argument("--observe", action="store_true", help="record ratios with no verdict")
-    sp.add_argument("--region", choices=("auto", "interior", "all"), default="auto")
+    sp.add_argument(
+        "--region", choices=("auto", "all"), default="auto",
+        help="auto: a seeded sample of 240 vertices (every vertex on smaller complexes); all: every vertex",
+    )
     sp.add_argument("--max-pairs", dest="max_pairs", type=_max_pairs, default=None)
-    sp.add_argument("--settled-policy", dest="settled_policy", choices=("margin", "all"), default="margin")
-    sp.add_argument("--margin", type=int, default=None)
     sp.add_argument("--out", help="output directory for report.csv / summary.json")
     sp.add_argument("--dot", action="store_true", help="also write walls.dot")
     _add_budget_args(sp)
@@ -319,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("walls-dump", help="dump the wall partition and hypergraphs")
     _add_source_args(sp)
     sp.add_argument("--radius", type=int, default=6)
-    sp.add_argument("--settled-policy", dest="settled_policy", choices=("margin", "all"), default="margin")
-    sp.add_argument("--margin", type=int, default=None)
     sp.add_argument("--out", help="output file (default stdout)")
     sp.add_argument("--dot", help="also write hypergraph DOT to this file")
     _add_budget_args(sp)

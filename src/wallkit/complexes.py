@@ -777,15 +777,14 @@ class ValiditySummary:
     distances_consistent: bool
     cprime_ok: bool
 
+    def failing(self) -> list[str]:
+        """The names of the checks that fail, in field order."""
+        checks = ("connected", "even_cells", "h1_trivial", "distances_consistent", "cprime_ok")
+        return [name for name in checks if not getattr(self, name)]
+
     @property
     def ok(self) -> bool:
-        return (
-            self.connected
-            and self.even_cells
-            and self.h1_trivial
-            and self.distances_consistent
-            and self.cprime_ok
-        )
+        return not self.failing()
 
 
 def validity_summary(c: Complex, lam: Fraction = Fraction(1, 6)) -> ValiditySummary:

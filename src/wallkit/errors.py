@@ -33,9 +33,5 @@ class OddCell(WallkitError):
     """Wall construction needs even boundary cycles; subdivide first."""
 
 
-class UnsettledWall(WallkitError):
-    """Construction touches a wall that may be a truncation artifact."""
-
-
 class HypothesisViolated(WallkitError):
     """Caller-asserted premise failed re-verification."""

@@ -17,8 +17,8 @@ from math import isqrt
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
-from .complexes import Complex, check_cprime, geodesic
-from .errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
+from .complexes import Complex, geodesic, validity_summary
+from .errors import BadParams, HypothesisViolated, NotSmallCancellation
 from .walls import WallSystem, geodesic_crossings
 
 # -- geodesics --------------------------------------------------------------
@@ -111,7 +111,7 @@ def _hypergraph_path(ws: WallSystem, wid: int, e_from: int, e_to: int) -> list[t
     return out
 
 
-def relator_neighborhood(eid: int, ctx: GeodesicContext, *, require_settled: bool = True) -> RelatorNeighborhood:
+def relator_neighborhood(eid: int, ctx: GeodesicContext) -> RelatorNeighborhood:
     """Maximal geodesic subpath inside a cell chosen along the wall's
     hypergraph tree path toward the nearest wall mate on the geodesic.
 
@@ -122,10 +122,8 @@ def relator_neighborhood(eid: int, ctx: GeodesicContext, *, require_settled: boo
     c = ctx.complex
     if eid not in ctx.edge_seq:
         raise BadParams(f"edge {eid} is not on the geodesic")
-    wid = ctx.wall_seq[ctx.edge_seq.index(eid)]
-    if require_settled and not ws.settled[wid]:
-        raise UnsettledWall(f"wall {wid} may be a truncation artifact")
     pos = ctx.edge_seq.index(eid)
+    wid = ctx.wall_seq[pos]
     if eid in ctx.single_crossing:
         return RelatorNeighborhood(
             eid, wid, None, (pos, pos + 1), ctx.vertex_seq[pos], ctx.vertex_seq[pos + 1],
@@ -351,7 +349,6 @@ class PairRow:
     d: int
     dw: int
     ratio: Fraction
-    settled: bool
     in_a_count: int
 
 
@@ -364,27 +361,9 @@ class SeparationReport:
     mean_ratio: Fraction | None
     pair_count: int
     violations: list[PairRow]
-    inconclusive: list[PairRow]
     passed: bool
     observe: bool
-
-
-def default_region(c: Complex, ws: WallSystem) -> list[int]:
-    """Interior vertices: inside the ball by the largest cell length, with
-    every incident wall settled.  Possibly empty on small balls; the caller
-    then chooses an explicit region."""
-    margin = max((len(cell) for cell in c.cells), default=0)
-    if c.dist is None or c.radius is None:
-        candidates = range(c.nv)
-    else:
-        cutoff = c.radius - margin
-        candidates = [v for v in range(c.nv) if c.dist[v] <= cutoff]
-    adj = c.adjacency()
-    out = []
-    for v in candidates:
-        if all(ws.settled[ws.wall_of_edge[eid]] for _, eid in adj[v]):
-            out.append(v)
-    return sorted(out)
+    ratio_histogram: list[tuple[Fraction, int]]  # (dw/d, pairs), ascending
 
 
 def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) -> list[PairRow]:
@@ -397,11 +376,11 @@ def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) ->
         ps = [p for p, _ in group]
         stats = geodesic_crossings(c, ws, q, ps)
         for p in ps:
-            d, dw, _, unsettled, in_a = stats[p]
+            d, dw, in_a = stats[p]
             ratio = ratios.get((dw, d))
             if ratio is None:
                 ratio = ratios[dw, d] = Fraction(dw, d)
-            rows.append(PairRow(p, q, d, dw, ratio, not unsettled, in_a))
+            rows.append(PairRow(p, q, d, dw, ratio, in_a))
     return rows
 
 
@@ -434,21 +413,26 @@ def verify_linear_separation(
     seed: int = 0,
 ) -> SeparationReport:
     """Compare the wall pseudo-metric against the path metric over all
-    vertex pairs in the region, or over a seeded sample of max_pairs of
-    them.
+    vertex pairs in the region (every vertex when it is None), or over a
+    seeded sample of max_pairs of them.
 
-    Pass requires some settled pair, and every settled pair to satisfy
-    dw <= d and dw/d at least the constant; unsettled-pair violations are
-    reported inconclusive, never silently passed, and a sweep with no
-    settled pair checks nothing, so it fails.  Observe mode gives no verdict.
+    Unless in observe mode, the complex must pass ``validity_summary``: a
+    complex that fails the piece condition raises NotSmallCancellation, and
+    one that fails any other check raises HypothesisViolated.  Pass then
+    requires some pair, and every pair to satisfy dw <= d and dw/d at least
+    the constant.  Observe mode gives no verdict.
     """
     lam = admissible_lambda(lam)
     if max_pairs is not None and max_pairs < 1:
         raise BadParams(f"max_pairs must be >= 1, got {max_pairs}")
-    if not observe and not check_cprime(c, lam):
-        raise NotSmallCancellation(f"complex fails the strict {lam} piece condition")
+    if not observe:
+        valid = validity_summary(c, lam)
+        if not valid.cprime_ok:
+            raise NotSmallCancellation(f"complex fails the strict {lam} piece condition")
+        if not valid.ok:
+            raise HypothesisViolated(f"complex fails validity_summary: {', '.join(valid.failing())}")
     const = separation_constant(lam)
-    verts = sorted(set(region)) if region is not None else default_region(c, ws)
+    verts = sorted(set(region)) if region is not None else list(range(c.nv))
     n = len(verts)
     total = n * (n - 1) // 2
     if max_pairs is not None and total > max_pairs:
@@ -461,27 +445,25 @@ def verify_linear_separation(
     pairs.sort(key=itemgetter(1, 0))
     rows = sweep_pairs(c, ws, pairs)
     rows.sort(key=attrgetter("p", "q"))
-    classes = Counter((r.dw, r.d) for r in rows)
-    min_ratio = min((Fraction(dw, d) for dw, d in classes), default=None)
-    mean_ratio = sum(Fraction(dw * k, d) for (dw, d), k in classes.items()) / len(rows) if rows else None
+    histogram: Counter[Fraction] = Counter()
+    for (dw, d), k in Counter((r.dw, r.d) for r in rows).items():
+        histogram[Fraction(dw, d)] += k
+    ratios = sorted(histogram.items())
+    min_ratio = ratios[0][0] if ratios else None
+    mean_ratio = sum(r * k for r, k in ratios) / len(rows) if rows else None
     # dw/d < constant, cross-multiplied (d and the denominator are positive)
     num, den = const.numerator, const.denominator
-    failing = [r for r in rows if r.dw * den < num * r.d or r.dw > r.d]
-    violations = [r for r in failing if r.settled]
-    inconclusive = [r for r in failing if not r.settled]
-    passed = observe or (any(r.settled for r in rows) and not violations and all(r.dw <= r.d for r in rows))
+    violations = [r for r in rows if r.dw * den < num * r.d or r.dw > r.d]
+    passed = observe or (bool(rows) and not violations)
     return SeparationReport(
-        lam, const, rows, min_ratio, mean_ratio, len(rows), violations, inconclusive, passed, observe
+        lam, const, rows, min_ratio, mean_ratio, len(rows), violations, passed, observe, ratios
     )
 
 
 def report_to_csv(report: SeparationReport) -> str:
-    lines = ["p,q,d,dw,ratio_num,ratio_den,settled,in_A_count"]
+    lines = ["p,q,d,dw,ratio_num,ratio_den,in_A_count"]
     for r in sorted(report.rows, key=lambda r: (r.p, r.q)):
-        lines.append(
-            f"{r.p},{r.q},{r.d},{r.dw},{r.ratio.numerator},{r.ratio.denominator},"
-            f"{int(r.settled)},{r.in_a_count}"
-        )
+        lines.append(f"{r.p},{r.q},{r.d},{r.dw},{r.ratio.numerator},{r.ratio.denominator},{r.in_a_count}")
     return "\n".join(lines) + "\n"
 
 
@@ -497,8 +479,8 @@ def report_to_json(report: SeparationReport) -> str:
         "mean_ratio": _frac(report.mean_ratio),
         "pairs": report.pair_count,
         "violations": [[r.p, r.q, _frac(r.ratio)] for r in report.violations],
-        "inconclusive": [[r.p, r.q, _frac(r.ratio)] for r in report.inconclusive],
         "passed": report.passed,
         "observe": report.observe,
+        "ratio_histogram": [[_frac(r), k] for r, k in report.ratio_histogram],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -3,9 +3,9 @@ hypercarriers, and the wall pseudo-metric.
 
 Two edges are related when they occupy opposite positions (i and i + L/2) in
 some cell boundary of even length L; walls are the classes of the transitive
-closure.  On a complete complex every wall two-sides the 1-skeleton; on a
-truncated ball a wall may be an artifact of truncation, which the settled
-flag tracks.
+closure.  On a complex that passes ``validity_summary`` every wall
+two-sides the 1-skeleton, and the separation harness checks only such
+complexes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Iterable, Literal
 
 from .complexes import Complex, geodesic_tree
 from .errors import BadParams, OddCell
-
-SettledPolicy = Literal["margin", "all"]
 
 
 class UnionFind:
@@ -45,15 +43,11 @@ class WallSystem:
     wall_of_edge: list[int]                      # eid -> wall id (min edge id in class)
     walls: dict[int, tuple[int, ...]]            # wall id -> sorted edge ids
     hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
-    settled: dict[int, bool]
     _tree: SpanningTree | None = field(default=None, repr=False)
     _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
 
     def wall_ids(self) -> list[int]:
         return sorted(self.walls)
-
-    def settled_wall_ids(self) -> list[int]:
-        return [w for w in self.wall_ids() if self.settled[w]]
 
 
 def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
@@ -97,46 +91,22 @@ def _opposite_classes(
     return wall_of_edge, walls, {wid: tuple(h) for wid, h in hyper.items()}
 
 
-def build_walls(
-    c: Complex,
-    *,
-    settled_policy: SettledPolicy = "margin",
-    settled_margin: int | None = None,
-) -> WallSystem:
+def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
     """Assemble the walls (the classes of opposite edges) and their data.
-
-    settled policy "margin": on a ball of radius R, a wall is settled iff
-    every vertex of its hypercarrier lies within R - margin (margin defaults
-    to the longest cell boundary present).  Non-ball complexes are complete,
-    so all their walls are settled.  Policy "all" marks every wall settled;
-    use it when the complex has been verified valid in its own right.
 
     Every wall query reads the spanning tree built here, so a disconnected
     1-skeleton raises BadParams.
     """
+    # perfbench/workloads.py still passes settled_policy="all"
+    if settled_policy != "all":
+        raise BadParams(f"settled_policy {settled_policy!r}: only 'all' is accepted")
     for cell in c.cells:
         if len(cell) % 2:
             raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
     wall_of_edge, walls, hyper = _opposite_classes(c)
-    settled: dict[int, bool] = {}
-    if settled_policy == "all" or c.dist is None or c.radius is None:
-        settled = {wid: True for wid in walls}
-    else:
-        margin = settled_margin
-        if margin is None:
-            margin = max((len(cell) for cell in c.cells), default=0)
-        cutoff = c.radius - margin
-        for wid, edge_ids in walls.items():
-            verts: set[int] = set()
-            for cid, _, _ in hyper[wid]:
-                verts.update(c.cell_vertices(cid))
-            if not hyper[wid]:
-                for eid in edge_ids:
-                    verts.update(c.edges[eid])
-            settled[wid] = all(c.dist[v] <= cutoff for v in verts)
     # built once the partition's temporaries are gone, to keep the peak down
     tree = spanning_tree(c)
-    return WallSystem(c, wall_of_edge, walls, hyper, settled, tree)
+    return WallSystem(c, wall_of_edge, walls, hyper, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -472,33 +442,25 @@ def hypercarrier_check(
 
 @dataclass
 class WallDistance:
-    settled_count: int
-    unsettled_count: int
-
-    @property
-    def total(self) -> int:
-        return self.settled_count + self.unsettled_count
+    total: int
 
 
-def geodesic_crossings(
-    c: Complex, ws: WallSystem, q: int, targets: Iterable[int]
-) -> dict[int, tuple[int, int, int, int, int]]:
+def geodesic_crossings(c: Complex, ws: WallSystem, q: int, targets: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     """Crossing statistics of ``geodesic(c, p, q)`` for every target p, from
     one walk of ``geodesic_tree(c, q, targets)``.
 
-    Each target maps to ``(d, dw, odd_unsettled, unsettled, in_a)``: the
-    path length, the settled and the unsettled walls crossed an odd number
-    of times, the crossings of unsettled walls, and the walls crossed once,
-    each of which marks one single-crossing edge (geodesics repeat no edge).
+    Each target maps to ``(d, dw, in_a)``: the path length, the walls
+    crossed an odd number of times, and the walls crossed once, each of
+    which marks one single-crossing edge (geodesics repeat no edge).
     """
     want = set(targets)
     children = geodesic_tree(c, q, want)
 
     # one walk of the tree from q, with running per-wall crossing counts
-    wall_of_edge, settled = ws.wall_of_edge, ws.settled
+    wall_of_edge = ws.wall_of_edge
     count = [0] * len(c.edges)  # per wall id, the least edge id of the wall
-    out: dict[int, tuple[int, int, int, int, int]] = {}
-    d = dw = odd_unsettled = unsettled = in_a = 0
+    out: dict[int, tuple[int, int, int]] = {}
+    d = dw = in_a = 0
     stack = list(children.get(q, ()))  # (child, edge id) to enter, (-1, wall) to leave
     while stack:
         v, wid = stack.pop()
@@ -520,15 +482,10 @@ def geodesic_crossings(
             in_a += sign
         elif k == 1:
             in_a -= sign
-        flip = -sign if k & 1 else sign
-        if settled[wid]:
-            dw += flip
-        else:
-            odd_unsettled += flip
-            unsettled += sign
+        dw += -sign if k & 1 else sign
         if v >= 0:
             if v in want:
-                out[v] = (d, dw, odd_unsettled, unsettled, in_a)
+                out[v] = (d, dw, in_a)
             stack.append((-1, wid))
             stack.extend(children.get(v, ()))
     return out
@@ -540,28 +497,22 @@ def wall_distance(
     q: int,
     via: Literal["parity", "components"] = "parity",
 ) -> WallDistance:
-    """Number of settled walls separating p from q, with unsettled walls
-    counted separately.  Parity mode counts odd crossings of the geodesic
-    (valid on two-sided walls); components mode compares the sides of each
-    two-sided wall in the spanning tree.
+    """Number of walls separating p from q.  Parity mode counts odd
+    crossings of the geodesic (valid on two-sided walls); components mode
+    compares the sides of each two-sided wall in the spanning tree.
     """
     if via not in ("parity", "components"):
         raise BadParams(f"unknown mode {via!r}")
     tp, tq = _tin(ws, p), _tin(ws, q)
     if p == q:
-        return WallDistance(0, 0)
+        return WallDistance(0)
     if via == "parity":
-        _, dw, odd_unsettled, _, _ = geodesic_crossings(ws.complex, ws, q, (p,))[p]
-        return WallDistance(dw, odd_unsettled)
-    settled = unsettled = 0
+        return WallDistance(geodesic_crossings(ws.complex, ws, q, (p,))[p][1])
+    total = 0
     for wid in ws.wall_ids():
         split = _split(ws, wid)
-        if split.count == 2 and split.side(tp) != split.side(tq):
-            if ws.settled[wid]:
-                settled += 1
-            else:
-                unsettled += 1
-    return WallDistance(settled, unsettled)
+        total += split.count == 2 and split.side(tp) != split.side(tq)
+    return WallDistance(total)
 
 
 def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
@@ -581,7 +532,7 @@ def dump_walls(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
     lines = []
     for wid in (ws.wall_ids() if wall_ids is None else sorted(wall_ids)):
         edge_list = ",".join(str(e) for e in _wall_edges(ws, wid))
-        lines.append(f"wall {wid} settled={int(ws.settled[wid])} edges={edge_list}")
+        lines.append(f"wall {wid} edges={edge_list}")
         for cid, e1, e2 in ws.hyperedges[wid]:
             lines.append(f"  hyper {cid} {e1} {e2}")
     return "\n".join(lines) + "\n"

@@ -491,15 +491,8 @@ def pairwise_hypercarrier_check(ws, wid: int, *, strict: bool = True) -> Convexi
 
 def odd_crossings(ws, crossings: Counter) -> WallDistance:
     """Walls crossed an odd number of times by a path, given its crossing
-    count per wall, split into settled and unsettled walls."""
-    settled = unsettled = 0
-    for wid, k in crossings.items():
-        if k % 2:
-            if ws.settled[wid]:
-                settled += 1
-            else:
-                unsettled += 1
-    return WallDistance(settled, unsettled)
+    count per wall."""
+    return WallDistance(sum(k % 2 for k in crossings.values()))
 
 
 def greedy_geodesic(c, p, q, dq) -> list[int]:
@@ -529,8 +522,7 @@ def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
             dq, dq_of = c.bfs_distances(q), q
         d = dq[p]
         crossings = Counter(ws.wall_of_edge[eid] for eid in greedy_geodesic(c, p, q, dq))
-        dw = odd_crossings(ws, crossings).settled_count
-        settled = all(ws.settled[w] for w in crossings)
+        dw = odd_crossings(ws, crossings).total
         single = sum(1 for k in crossings.values() if k == 1)
-        rows.append(PairRow(p, q, d, dw, Fraction(dw, d), settled, single))
+        rows.append(PairRow(p, q, d, dw, Fraction(dw, d), single))
     return rows

@@ -5,8 +5,8 @@ verdicts.  The radius-8 ball used by criteria 2, 3 and 8 is verified to be
 an intrinsically valid complex (connected, trivial first homology over
 GF(2), even cells, strict 1/6 piece condition among its cells) before its
 walls are trusted, and the checks then run over every wall and a
-deterministic region, which is strictly stronger than the settled-only
-requirement.  See the repository notes for the margin analysis.
+deterministic region.  The separation harness applies the same gate
+itself: criterion 3 also shows that a ball failing it is refused.
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 
 from oracles import brute_force_pieces, free_product_trivial
 from wallkit.complexes import (
+    Complex,
     build_cayley_ball,
     build_example1,
     build_example2,
@@ -24,6 +25,7 @@ from wallkit.complexes import (
     validity_summary,
 )
 from wallkit.dehn import DehnMachine, is_trivial, iter_reduced_words
+from wallkit.errors import HypothesisViolated
 from wallkit.presentation import check_small_cancellation, gen_example
 from wallkit.separation import (
     cover_split,
@@ -63,7 +65,7 @@ def ball8():
 
 @pytest.fixture(scope="module")
 def ball8_walls(ball8):
-    return build_walls(ball8, settled_policy="all")
+    return build_walls(ball8)
 
 
 def test_criterion_1_metric_condition_verification():
@@ -94,7 +96,7 @@ def test_criterion_2_wall_structure(ball8, ball8_walls):
     t0 = time.monotonic()
     ws = ball8_walls
     wall_ids = ws.wall_ids()
-    assert wall_ids and all(ws.settled[w] for w in wall_ids)
+    assert wall_ids
     # hypergraphs are trees
     for wid in wall_ids:
         assert hypergraph_of(ws, wid).is_tree
@@ -139,17 +141,18 @@ def test_criterion_3_linear_separation_positive(ball8, ball8_walls):
         assert row.dw <= row.d
         assert row.ratio >= CONSTANT
     assert rep.min_ratio >= CONSTANT
-    # boundary-region reporting: with the faithful margin policy nothing on
-    # this ball is settled, so every sub-constant pair must surface as
-    # inconclusive and never as a silent pass
-    ws_margin = build_walls(ball8)
-    sub = verify_linear_separation(ball8, ws_margin, LAMBDA, region=region[:40])
-    assert not sub.violations
-    assert all(not r.settled for r in sub.rows)
-    assert sub.inconclusive  # undercounted ratios are flagged, not hidden
+    assert sum(k for _, k in rep.ratio_histogram) == rep.pair_count
+    # an invalid ball is refused, never passed: without one of its cells
+    # the ball has a cycle that nothing fills, and a ball whose recorded
+    # distances disagree with its 1-skeleton is not the ball it claims
+    holed = Complex(ball8.edges, ball8.cells[1:], ball8.nv, radius=ball8.radius, base=ball8.base, dist=ball8.dist)
+    moved = Complex(ball8.edges, ball8.cells, ball8.nv, radius=ball8.radius, base=ball8.base, dist=[0] * ball8.nv)
+    for bad, field in ((holed, "h1_trivial"), (moved, "distances_consistent")):
+        with pytest.raises(HypothesisViolated, match=field):
+            verify_linear_separation(bad, build_walls(bad), LAMBDA, region=region[:40])
     elapsed = time.monotonic() - t0
     assert elapsed < 300
-    _verdict(3, elapsed, 300, f"{rep.pair_count} pairs, min ratio {rep.min_ratio} >= 1/12; inconclusive reporting exercised")
+    _verdict(3, elapsed, 300, f"{rep.pair_count} pairs, min ratio {rep.min_ratio} >= 1/12; invalid balls refused")
 
 
 def test_criterion_4_negative_control():

@@ -13,8 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_pieces_and_conditions.py": "32b4cd6640d3fc16da327339749e4b969730aa4c3a7d708462aede54ce98c1fd",
     "02_word_problem.py": "744f7497b4b8994e157ba24b42ebd321553a27ab935016d811084dd659c919e5",
-    "03_cayley_balls_and_walls.py": "18b66fd9bbc22cd8a129cff136c3a4b0cd5ae043134020f1e0969ff28746976b",
-    "04_linear_separation.py": "08a9cf7804008bbe2ac6772a148d99056ee188ea6ae27e1bf112c104dd072a62",
+    "03_cayley_balls_and_walls.py": "521b5338a9b0794fb6b6f5ee06edbeebb8825f87f5b72d8688876994d6208a72",
+    "04_linear_separation.py": "b5a52c354c495408f6bbec777810826c9ac206a4ec05c4fd28da3721951d5fb0",
     "05_counterexamples.py": "6154c60386d28f5010c615adf929cf414b7969f84d52e68c2d5632ebd8b36403",
 }
 

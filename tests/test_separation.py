@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import greedy_geodesic, odd_crossings, per_pair_sweep
 from wallkit.complexes import Complex, build_cayley_ball, build_example1, build_example2
 from wallkit.dehn import DehnMachine
-from wallkit.errors import BadParams, HypothesisViolated, NotSmallCancellation, UnsettledWall
+from wallkit.errors import BadParams, HypothesisViolated, NotSmallCancellation
 from wallkit.presentation import gen_example
 from wallkit.separation import (
     cover_split,
-    default_region,
     density_threshold,
     geodesic,
     geodesic_context,
@@ -105,7 +105,7 @@ def test_geodesic_matches_greedy_oracle(tree, ball7):
 def _two_components():
     c = Complex([(0, 1), (2, 3)], [], 4)
     walls = {0: (0,), 1: (1,)}
-    return c, WallSystem(c, [0, 1], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+    return c, WallSystem(c, [0, 1], walls, {wid: () for wid in walls})
 
 
 def _example1():
@@ -218,18 +218,6 @@ def test_local_density_values(ex2):
             assert dc.ratio == 1
 
 
-def test_unsettled_wall_guard():
-    one = gen_example("tv", I={1}, k=7)
-    c = build_cayley_ball(one, DehnMachine(one), 7)
-    ws = build_walls(c)  # default margin: nothing settled
-    far = max(range(c.nv), key=lambda v: c.dist[v])
-    ctx = geodesic_context(c, ws, 0, far)
-    with pytest.raises(UnsettledWall):
-        relator_neighborhood(ctx.edge_seq[0], ctx)
-    ne = relator_neighborhood(ctx.edge_seq[0], ctx, require_settled=False)
-    assert ne.size >= 1
-
-
 # -- cover split and the density principle ---------------------------------------------
 
 
@@ -315,7 +303,7 @@ def test_free_ball_min_ratio_one(tree):
     ws = build_walls(tree)
     rep = verify_linear_separation(tree, ws, Fraction(1, 6), region=range(tree.nv))
     assert rep.passed and rep.min_ratio == 1 and rep.mean_ratio == 1
-    assert not rep.violations and not rep.inconclusive
+    assert not rep.violations
 
 
 def test_example2_positive(ex2):
@@ -352,8 +340,8 @@ def test_sweep_dw_matches_both_wall_distance_modes(build, max_pairs):
     rep = verify_linear_separation(c, ws, Fraction(1, 6), observe=True, max_pairs=max_pairs)
     assert rep.pair_count == (max_pairs or c.nv * (c.nv - 1) // 2)
     for r in rep.rows:
-        parity = wall_distance(ws, r.p, r.q).settled_count
-        components = wall_distance(ws, r.p, r.q, via="components").settled_count
+        parity = wall_distance(ws, r.p, r.q).total
+        components = wall_distance(ws, r.p, r.q, via="components").total
         assert r.dw == parity == components, (r.p, r.q)
 
 
@@ -364,33 +352,41 @@ def test_harness_requires_condition_outside_observe():
         verify_linear_separation(c, ws, Fraction(1, 6), region=range(6))
 
 
-def test_unsettled_violations_reported_inconclusive():
-    one = gen_example("tv", I={1}, k=7)
-    c = build_cayley_ball(one, DehnMachine(one), 7)
-    ws = build_walls(c, settled_margin=1)  # most walls unsettled
-    region = list(range(0, c.nv, max(1, c.nv // 24)))
-    rep = verify_linear_separation(c, ws, Fraction(1, 6), region=region)
-    # dw counts settled walls only, so deep pairs undercount and would
-    # violate the bound; every such pair must land in inconclusive
-    assert rep.inconclusive
-    assert not rep.violations and rep.passed
+def _four_cycle():
+    """A bare 4-cycle: no cell fills it, so its first homology is Z/2."""
+    return Complex([(0, 1), (1, 2), (2, 3), (3, 0)], [], 4)
+
+
+def test_invalid_complex_is_refused():
+    c = _four_cycle()
+    ws = build_walls(c)
+    with pytest.raises(HypothesisViolated, match="h1_trivial"):
+        verify_linear_separation(c, ws, Fraction(1, 6))
+    # observe mode measures without the gate
+    assert verify_linear_separation(c, ws, Fraction(1, 6), observe=True).pair_count == 6
+
+
+def test_complex_with_a_missing_cell_is_refused(ex2):
+    # dropping one cell leaves its boundary cycle unfilled
+    c, _ = ex2
+    holed = Complex(c.edges, c.cells[1:], c.nv)
+    with pytest.raises(HypothesisViolated, match="h1_trivial"):
+        verify_linear_separation(holed, build_walls(holed), Fraction(1, 6))
 
 
 def test_default_region_policies():
+    # no region means every vertex; an empty region checks nothing and fails
     one = gen_example("tv", I={1}, k=7)
     c = build_cayley_ball(one, DehnMachine(one), 7)
     ws = build_walls(c)
-    assert default_region(c, ws) == []  # margin 14 > radius 7
-    ws_all = build_walls(c, settled_policy="all")
-    region = default_region(c, ws_all)
-    assert region == []
-    rep = verify_linear_separation(c, ws_all, Fraction(1, 6), region=region)
-    assert rep.pair_count == 0 and not rep.passed
-    assert verify_linear_separation(c, ws_all, Fraction(1, 6), region=[], observe=True).passed
-    free = gen_example("free")
-    t = build_cayley_ball(free, DehnMachine(free), 2)
-    wst = build_walls(t)
-    assert default_region(t, wst) == list(range(t.nv))
+    sample = sorted(random.Random(1).sample(range(c.nv), 30))
+    whole = verify_linear_separation(c, ws, Fraction(1, 6), max_pairs=200, seed=2)
+    assert whole.rows == verify_linear_separation(c, ws, Fraction(1, 6), range(c.nv), max_pairs=200, seed=2).rows
+    assert whole.passed and whole.pair_count == 200
+    assert verify_linear_separation(c, ws, Fraction(1, 6), region=sample).pair_count == 30 * 29 // 2
+    rep = verify_linear_separation(c, ws, Fraction(1, 6), region=[])
+    assert rep.pair_count == 0 and not rep.passed and rep.ratio_histogram == []
+    assert verify_linear_separation(c, ws, Fraction(1, 6), region=[], observe=True).passed
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)])
@@ -407,15 +403,29 @@ def test_report_formats(ex2):
     rep = verify_linear_separation(c, ws, Fraction(1, 6), region=range(10), max_pairs=20, seed=3)
     csv = report_to_csv(rep)
     header, *rows = csv.strip().splitlines()
-    assert header == "p,q,d,dw,ratio_num,ratio_den,settled,in_A_count"
+    assert header == "p,q,d,dw,ratio_num,ratio_den,in_A_count"
     assert len(rows) == rep.pair_count
     for line in rows:
         parts = line.split(",")
-        assert len(parts) == 8
+        assert len(parts) == 7
         p, q, d, dw = map(int, parts[:4])
         assert dw <= d
     js = report_to_json(rep)
     assert '"constant": "1/12"' in js
+
+
+def test_ratio_histogram_is_exact(ex2):
+    c, ws = ex2
+    rep = verify_linear_separation(c, ws, Fraction(1, 6))
+    hist = rep.ratio_histogram
+    # equal ratios of different (dw, d) classes share one entry
+    assert dict(hist) == Counter(r.ratio for r in rep.rows)
+    assert [r for r, _ in hist] == sorted(set(r.ratio for r in rep.rows))
+    assert hist[0][0] == rep.min_ratio < 1
+    assert sum(k for _, k in hist) == rep.pair_count
+    js = json.loads(report_to_json(rep))
+    assert js["ratio_histogram"] == [[f"{r.numerator}/{r.denominator}", k] for r, k in hist]
+    assert js["ratio_histogram"][0][0] == js["min_ratio"]
 
 
 # -- the per-source sweep engine ------------------------------------------------------
@@ -427,11 +437,11 @@ def _grouped_pairs(verts):
 
 
 def _margin_ball():
-    # no cell closes inside radius 6, so the default margin settles every
-    # wall; a margin of 2 leaves the walls near the boundary unsettled
+    # the radius-6 tv{1,2} ball: no cell closes inside it, so every wall is
+    # one edge, and the sample reaches the boundary sphere
     two = gen_example("tv", I={1, 2}, k=7)
     c = build_cayley_ball(two, DehnMachine(two), 6)
-    return c, build_walls(c, settled_margin=2), sorted(random.Random(6).sample(range(c.nv), 120))
+    return c, build_walls(c), sorted(random.Random(6).sample(range(c.nv), 120))
 
 
 def _theta_chain():
@@ -450,22 +460,20 @@ def test_sweep_matches_per_pair_oracle(build):
     pairs = _grouped_pairs(region)
     rows = sweep_pairs(c, ws, pairs)
     assert rows == per_pair_sweep(c, ws, pairs)
-    assert any(r.settled for r in rows)
     if build is _margin_ball:
-        assert any(not r.settled for r in rows)
+        assert any(c.dist[r.p] == c.radius or c.dist[r.q] == c.radius for r in rows)
 
 
 def _crossing_path():
     """Two legs of 8 edges out of vertex 0, with walls assigned by hand so
     that geodesics cross one wall up to 5 times: wall 0 is edges 0, 2, 4 of
     leg 0..8, wall 1 its odd edges and the first edge of leg 9..16, wall 6
-    (unsettled) edge 6 and three edges of the second leg, wall 11 the rest."""
+    edge 6 and three edges of the second leg, wall 11 the rest."""
     edges = [(i, i + 1) for i in range(8)] + [(0, 9)] + [(i, i + 1) for i in range(9, 16)]
     walls = {0: (0, 2, 4), 1: (1, 3, 5, 7, 9), 6: (6, 8, 10, 12), 11: (11, 13, 14, 15)}
     wall_of_edge = [wid for eid in range(len(edges)) for wid, es in walls.items() if eid in es]
     c = Complex(edges, [], 17)
-    settled = {0: True, 1: True, 6: False, 11: True}
-    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls}, settled)
+    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls})
 
 
 def test_sweep_counts_walls_crossed_three_and_four_times():
@@ -473,14 +481,14 @@ def test_sweep_counts_walls_crossed_three_and_four_times():
     pairs = _grouped_pairs(range(c.nv))
     rows = sweep_pairs(c, ws, pairs)
     assert rows == per_pair_sweep(c, ws, pairs)
-    by_pair = {(r.p, r.q): (r.d, r.dw, r.settled, r.in_a_count) for r in rows}
+    by_pair = {(r.p, r.q): (r.d, r.dw, r.in_a_count) for r in rows}
     # 0..5: wall 0 three times, wall 1 twice
-    assert by_pair[0, 5] == (5, 1, True, 0)
+    assert by_pair[0, 5] == (5, 1, 0)
     # 0..8: wall 0 three times, wall 1 four times, wall 6 once
-    assert by_pair[0, 8] == (8, 1, False, 1)
+    assert by_pair[0, 8] == (8, 2, 1)
     # 8..16: walls 0, 1, 6, 11 crossed 3, 5, 4, 4 times
-    assert by_pair[8, 16] == (16, 2, False, 0)
-    assert any(r.in_a_count != r.dw for r in rows if r.settled)
+    assert by_pair[8, 16] == (16, 2, 0)
+    assert any(r.in_a_count != r.dw for r in rows)
 
 
 def _square():
@@ -488,7 +496,7 @@ def _square():
     edges 1 and 0, crosses wall 0 twice, the other crosses walls 2 and 3."""
     c = Complex([(0, 1), (1, 2), (2, 3), (3, 0)], [], 4)
     walls = {0: (0, 1), 2: (2,), 3: (3,)}
-    return c, WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls}, dict.fromkeys(walls, True))
+    return c, WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls})
 
 
 def test_sweep_follows_the_lex_least_geodesic():
@@ -496,7 +504,7 @@ def test_sweep_follows_the_lex_least_geodesic():
     assert geodesic(c, 2, 0) == [1, 0]
     row = sweep_pairs(c, ws, [(2, 0)])[0]
     assert (row.d, row.dw, row.in_a_count) == (2, 0, 0)
-    assert wall_distance(ws, 2, 0).settled_count == 0
+    assert wall_distance(ws, 2, 0).total == 0
 
 
 @pytest.mark.parametrize("build", [_margin_ball, _theta_chain, _crossing_path], ids=["margin-ball", "theta", "crossings"])

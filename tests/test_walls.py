@@ -179,7 +179,7 @@ def test_two_sidedness_counts_match_component_labels(build):
     checked += singles if every else random.Random(5).sample(singles, 300)
     rng = random.Random(6)
     pairs = [tuple(rng.sample(range(c.nv), 2)) for _ in range(40)]
-    want_dw = [[0, 0] for _ in pairs]  # (settled, unsettled) walls that separate each pair
+    want_dw = [0] * len(pairs)  # walls that separate each pair
     for wid in checked:
         label, count = component_labels(c, frozenset(ws.walls[wid]))
         assert rep[wid].component_count == count, wid
@@ -193,10 +193,10 @@ def test_two_sidedness_counts_match_component_labels(build):
         for i, (p, q) in enumerate(pairs):
             assert separates(ws, wid, p, q) == (label[p] != label[q] if count == 2 else None), (wid, p, q)
             if count == 2 and label[p] != label[q]:
-                want_dw[i][0 if ws.settled[wid] else 1] += 1
+                want_dw[i] += 1
     if every:
-        for (p, q), (settled, unsettled) in zip(pairs, want_dw):
-            assert wall_distance(ws, p, q, via="components") == WallDistance(settled, unsettled), (p, q)
+        for (p, q), dw in zip(pairs, want_dw):
+            assert wall_distance(ws, p, q, via="components") == WallDistance(dw), (p, q)
 
 
 @st.composite
@@ -224,7 +224,7 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
         groups.setdefault(lab, []).append(eid)
     walls = {g[0]: tuple(g) for g in groups.values()}
     wall_of_edge = [groups[lab][0] for lab in labels]
-    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls}, {w: True for w in walls})
+    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls})
     if component_labels(c, frozenset())[1] > 1:
         # every wall query reads the spanning tree, which needs a connected 1-skeleton
         wid = min(walls, default=0)
@@ -476,36 +476,25 @@ def test_separating_walls_meet_every_path(ex1):
                 assert wid in path_walls
 
 
-# -- settled policy -----------------------------------------------------------------
+# -- the settled_policy keyword ----------------------------------------------------
 
 
 def test_settled_policies(ball7):
-    ws_default = build_walls(ball7)  # margin = max cell length = 14 > R: nothing settled
-    assert not any(ws_default.settled.values())
-    ws_all = build_walls(ball7, settled_policy="all")
-    assert all(ws_all.settled.values())
-    ws_m1 = build_walls(ball7, settled_margin=1)
-    settled = ws_m1.settled_wall_ids()
-    assert settled
-    # settled walls with margin 1 live within radius 6
-    for wid in settled:
-        for eid in ws_m1.walls[wid]:
-            u, v = ball7.edges[eid]
-            assert max(ball7.dist[u], ball7.dist[v]) <= 6
+    # "all" is the only policy left, and it changes nothing
+    ws = build_walls(ball7, settled_policy="all")
+    assert ws.walls == build_walls(ball7).walls
+    for policy in ("margin", "none"):
+        with pytest.raises(BadParams, match="only 'all'"):
+            build_walls(ball7, settled_policy=policy)
 
 
-def test_non_ball_complexes_fully_settled(ex1):
-    ws = build_walls(ex1)
-    assert all(ws.settled.values())
-
-
-def test_wall_distance_reports_unsettled(ball7):
-    ws = build_walls(ball7, settled_margin=1)
-    # a pair near the boundary crosses unsettled walls
+def test_wall_distance_counts_every_wall(ball7):
+    # the ball's geodesics from the base cross every wall at most once, so
+    # all walls count, those near the boundary included
+    ws = build_walls(ball7)
     far = max(range(ball7.nv), key=lambda v: ball7.dist[v])
-    wd = wall_distance(ws, 0, far)
-    assert wd.unsettled_count > 0
-    assert wd.total == ball7.dist[far]
+    assert wall_distance(ws, 0, far).total == ball7.dist[far] == ball7.radius
+    assert wall_distance(ws, 0, far, via="components") == wall_distance(ws, 0, far)
 
 
 # -- dumps -------------------------------------------------------------------------
@@ -515,6 +504,6 @@ def test_dump_and_dot(ex1):
     ws = build_walls(ex1)
     text = dump_walls(ws)
     assert text.count("wall ") == len(ws.walls)
-    assert "settled=1" in text
+    assert text.startswith(f"wall {ws.wall_ids()[0]} edges=")
     dot = walls_to_dot(ws, ws.wall_ids()[:2])
     assert dot.startswith("graph walls {") and "--" in dot
