@@ -16,7 +16,7 @@ from wallkit import (
     hypergraph_of,
     two_sidedness_report,
     validity_summary,
-    wall_components,
+    wall_sides,
 )
 
 p = gen_example("tv", I={1}, k=7)
@@ -35,7 +35,6 @@ print("tree hypergraphs:", sum(hypergraph_of(ws, w).is_tree for w in ws.wall_ids
 
 # Look at one opposite-pair wall in detail.
 wid = next(w for w in ws.wall_ids() if len(ws.walls[w]) == 2)
-split = wall_components(ws, wid)
 print(f"\nwall {wid}: edges {ws.walls[wid]}, sides of sizes",
-      sorted(len(s) for s in split.sides))
+      sorted(len(s) for s in wall_sides(ws, wid)))
 print(dump_walls(ws, [wid]))

@@ -46,7 +46,6 @@ from .complexes import (
     build_example2,
     boundary_word,
     check_B6,
-    check_cprime,
     compute_cell_pieces,
     geodesic,
     load_complex,
@@ -63,8 +62,8 @@ from .walls import (
     hypergraph_of,
     separates,
     two_sidedness_report,
-    wall_components,
     wall_distance,
+    wall_sides,
     walls_to_dot,
 )
 from .separation import (

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,24 +40,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    lam: Fraction = Fraction(1, 6)
-    radius: int = 6
-    vertex_budget: int = 500_000
-    node_budget: int = 10**6
-    seed: int = 0
-    out_dir: Path | None = None
-
-    def __post_init__(self):
-        if not (0 < self.lam < 1):
-            raise ParseError(f"lambda {self.lam} outside (0, 1)")
-        if self.radius < 1:
-            raise ParseError("radius must be >= 1")
-        if self.vertex_budget <= 0 or self.node_budget <= 0:
-            raise ParseError("budgets must be positive")
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -73,10 +54,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from e
 
 
-def _max_pairs(text: str) -> int:
-    n = int(text)  # argparse reports a ValueError as "invalid _max_pairs value"
+def _positive(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as "invalid _positive value"
     if n < 1:
-        raise argparse.ArgumentTypeError(f"max_pairs must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
 
 
@@ -102,20 +83,19 @@ def _load_presentation(args) -> Presentation:
     raise ParseError(f"unknown family {family!r}")
 
 
-def _build_complex(args, cfg: RunConfig) -> tuple[Complex, Presentation | None]:
+def _build_complex(args) -> Complex:
     example = getattr(args, "example", None)
     if example:
         if example == "example1":
-            return build_example1(args.n or [1, 2, 3]), None
+            return build_example1(args.n or [1, 2, 3])
         if example == "example2":
-            return build_example2(args.x, args.half_r), None
+            return build_example2(args.x, args.half_r)
         raise ParseError(f"unknown example {example!r}")
     if getattr(args, "complex_file", None):
-        return load_complex(Path(args.complex_file).read_text(encoding="utf-8")), None
+        return load_complex(Path(args.complex_file).read_text(encoding="utf-8"))
     p = _load_presentation(args)
-    m = DehnMachine(p, node_budget=cfg.node_budget)
-    c = build_cayley_ball(p, m, cfg.radius, vertex_budget=cfg.vertex_budget, seed=cfg.seed)
-    return c, p
+    m = DehnMachine(p, node_budget=args.node_budget)
+    return build_cayley_ball(p, m, args.radius, vertex_budget=args.vertex_budget, seed=args.seed)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -139,49 +119,42 @@ def cmd_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _refuse(cfg: RunConfig, kind: str, e: Exception, code: int) -> int:
+def _refuse(out_dir: Path | None, kind: str, e: Exception, code: int) -> int:
     """Report a run that ends before any pair is checked; the summary keeps
     only the error and the failed verdict."""
     print(f"{kind}: {e}", file=sys.stderr)
-    if cfg.out_dir:
-        (cfg.out_dir / "summary.json").write_text(json.dumps({"error": str(e), "passed": False}, indent=2) + "\n")
+    if out_dir:
+        (out_dir / "summary.json").write_text(json.dumps({"error": str(e), "passed": False}, indent=2) + "\n")
     return code
 
 
 def cmd_separation(args) -> int:
-    cfg = RunConfig(
-        lam=args.lam,
-        radius=args.radius,
-        vertex_budget=args.vertex_budget,
-        node_budget=args.node_budget,
-        seed=args.seed,
-        out_dir=Path(args.out) if args.out else None,
-    )
-    admissible_lambda(cfg.lam)
-    if cfg.out_dir:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    admissible_lambda(args.lam)  # before the build: a bad lambda builds no ball
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        c, _ = _build_complex(args, cfg)
+        c = _build_complex(args)
     except BudgetExceeded as e:
-        return _refuse(cfg, "budget", e, EXIT_BUDGET)
+        return _refuse(out_dir, "budget", e, EXIT_BUDGET)
     ws = build_walls(c)
     region = None
     if args.region == "auto":
-        region = sorted(random.Random(cfg.seed).sample(range(c.nv), min(c.nv, 240)))
+        region = sorted(random.Random(args.seed).sample(range(c.nv), min(c.nv, 240)))
     try:
         report = verify_linear_separation(
-            c, ws, cfg.lam, region=region, observe=args.observe, max_pairs=args.max_pairs, seed=cfg.seed
+            c, ws, args.lam, region=region, observe=args.observe, max_pairs=args.max_pairs, seed=args.seed
         )
     except HypothesisViolated as e:
-        return _refuse(cfg, "error", e, EXIT_FAIL)
+        return _refuse(out_dir, "error", e, EXIT_FAIL)
     csv_text = report_to_csv(report)
     json_text = report_to_json(report)
-    if cfg.out_dir:
-        (cfg.out_dir / "report.csv").write_text(csv_text)
-        (cfg.out_dir / "summary.json").write_text(json_text)
-        (cfg.out_dir / "complex.txt").write_text(save_complex(c))
+    if out_dir:
+        (out_dir / "report.csv").write_text(csv_text)
+        (out_dir / "summary.json").write_text(json_text)
+        (out_dir / "complex.txt").write_text(save_complex(c))
         if args.dot:
-            (cfg.out_dir / "walls.dot").write_text(walls_to_dot(ws))
+            (out_dir / "walls.dot").write_text(walls_to_dot(ws))
     else:
         sys.stdout.write(json_text)
     mr = report.min_ratio
@@ -209,14 +182,7 @@ def cmd_word(args) -> int:
 
 
 def cmd_walls_dump(args) -> int:
-    cfg = RunConfig(
-        radius=args.radius,
-        vertex_budget=args.vertex_budget,
-        node_budget=args.node_budget,
-        seed=args.seed,
-    )
-    c, _ = _build_complex(args, cfg)
-    ws = build_walls(c)
+    ws = build_walls(_build_complex(args))
     text = dump_walls(ws)
     if args.out:
         Path(args.out).write_text(text)
@@ -261,9 +227,9 @@ def _add_source_args(sp, with_example: bool = True):
 
 def _add_budget_args(sp, ball: bool = True):
     default_nodes = env_budget(DEFAULT_NODE_BUDGET)
-    sp.add_argument("--node-budget", type=int, default=default_nodes, help="Dehn index and normal-form table budget")
+    sp.add_argument("--node-budget", type=_positive, default=default_nodes, help="Dehn index and normal-form table budget")
     if ball:
-        sp.add_argument("--vertex-budget", type=int, default=min(500_000, default_nodes), help="ball vertex budget")
+        sp.add_argument("--vertex-budget", type=_positive, default=min(500_000, default_nodes), help="ball vertex budget")
         sp.add_argument("--seed", type=int, default=0)
 
 
@@ -279,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("separation", help="wall vs path metric comparison")
     _add_source_args(sp)
     sp.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 6))
-    sp.add_argument("--radius", type=int, default=6)
+    sp.add_argument("--radius", type=_positive, default=6)
     sp.add_argument("--observe", action="store_true", help="record ratios with no verdict")
     sp.add_argument(
         "--region", choices=("auto", "all"), default="auto",
         help="auto: a seeded sample of 240 vertices (every vertex on smaller complexes); all: every vertex",
     )
-    sp.add_argument("--max-pairs", dest="max_pairs", type=_max_pairs, default=None)
+    sp.add_argument("--max-pairs", dest="max_pairs", type=_positive, default=None)
     sp.add_argument("--out", help="output directory for report.csv / summary.json")
     sp.add_argument("--dot", action="store_true", help="also write walls.dot")
     _add_budget_args(sp)
@@ -299,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("walls-dump", help="dump the wall partition and hypergraphs")
     _add_source_args(sp)
-    sp.add_argument("--radius", type=int, default=6)
+    sp.add_argument("--radius", type=_positive, default=6)
     sp.add_argument("--out", help="output file (default stdout)")
     sp.add_argument("--dot", help="also write hypergraph DOT to this file")
     _add_budget_args(sp)

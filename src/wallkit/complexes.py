@@ -119,6 +119,8 @@ class Complex:
             if key in seen_sets:
                 raise ParseError(f"cells {seen_sets[key]} and {cid} share the same boundary edge set")
             seen_sets[key] = cid
+        if self.base is not None and not 0 <= self.base < self.nv:
+            raise ParseError(f"base vertex {self.base} outside 0..{self.nv - 1}")
         if self.nv and any(d < 0 for d in self.bfs_distances(0)):
             raise ParseError("1-skeleton is not connected")
 
@@ -367,9 +369,14 @@ def _act(perms: dict[int, tuple[int, ...]], w: Sequence[int], points: tuple[int,
     return points
 
 
-def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int = 4000) -> dict[int, tuple[int, ...]]:
+QUOTIENTS_WANTED = 3
+QUOTIENT_TRIES = 4000
+
+
+def _find_finite_quotients(p: Presentation, seed: int) -> dict[int, tuple[int, ...]]:
     """Each letter's permutation of the disjoint union of the points of up to
-    ``want`` random permutation representations killing every relator.
+    ``QUOTIENTS_WANTED`` random permutation representations killing every
+    relator.
 
     Used only to bucket candidate vertices during ball construction: merges
     are always re-verified exactly, so these affect speed, not correctness.
@@ -381,7 +388,7 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
     if not p.relators:
         return {x: () for x in union}
     total_len = sum(len(r) for r in p.relators)
-    tries = max(200, min(tries, 4_000_000 // max(1, total_len)))
+    tries = max(200, min(QUOTIENT_TRIES, 4_000_000 // max(1, total_len)))
     rng = random.Random(seed)
     seen = set()
     for _ in range(tries):
@@ -401,7 +408,7 @@ def _find_finite_quotients(p: Presentation, seed: int, want: int = 3, tries: int
                 for x, perm in table.items():
                     offset = len(union[x])
                     union[x].extend(offset + s for s in perm)
-                if len(seen) >= want:
+                if len(seen) >= QUOTIENTS_WANTED:
                     break
     return {x: tuple(perm) for x, perm in union.items()}
 
@@ -757,12 +764,6 @@ def check_B6(c: Complex, lam: Fraction | None = None) -> B6Report:
     return B6Report(lam, verdicts, b6, cp, (not cp) or b6, witness, pieces)
 
 
-def check_cprime(c: Complex, lam: Fraction) -> bool:
-    """Strict complex-level piece condition at the given ratio."""
-    report = check_B6(c, lam)
-    return report.cprime_passed
-
-
 # ---------------------------------------------------------------------------
 # Validity summary (is this finite complex a sound object in its own right?)
 
@@ -788,8 +789,10 @@ class ValiditySummary:
 
 
 def validity_summary(c: Complex, lam: Fraction = Fraction(1, 6)) -> ValiditySummary:
-    dist0 = c.bfs_distances(0) if c.nv else []
-    connected = all(d >= 0 for d in dist0)
+    # one BFS, from the recorded base if any, serves both connectivity and
+    # the recorded distances; the piece check is the strict C'(lam) bound
+    dist = c.bfs_distances(0 if c.base is None else c.base) if c.nv else []
+    connected = all(d >= 0 for d in dist)
     even_cells = not c.has_odd_cell()
     cycle_rank = len(c.edges) - c.nv + 1
     masks = []
@@ -807,17 +810,9 @@ def validity_summary(c: Complex, lam: Fraction = Fraction(1, 6)) -> ValiditySumm
             basis.append(mask)
             basis.sort(reverse=True)
             rank += 1
-    dist_ok = True
-    if c.dist is not None and c.base is not None:
-        dist_ok = c.bfs_distances(c.base) == list(c.dist)
+    dist_ok = c.dist is None or c.base is None or dist == list(c.dist)
     return ValiditySummary(
-        connected,
-        even_cells,
-        cycle_rank,
-        rank,
-        cycle_rank == rank,
-        dist_ok,
-        check_cprime(c, lam),
+        connected, even_cells, cycle_rank, rank, cycle_rank == rank, dist_ok, check_B6(c, lam).cprime_passed
     )
 
 

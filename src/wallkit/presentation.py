@@ -400,9 +400,20 @@ def _tv_relator(n: int, k: int) -> Word:
     return Word(block * k)
 
 
+# the keywords each family of gen_example reads
+_FAMILY_PARAMS = {
+    "free": {"generators"}, "none": {"generators"}, "tv": {"I", "k"}, "pride": {"n_max"},
+    "rips": {"q_generators", "q_relators", "j_max", "scale"},
+}
+
+
 def gen_example(family: str, **params) -> Presentation:
     """Built-in presentation families: tv, pride, rips, free."""
     family = family.lower()
+    allowed = _FAMILY_PARAMS.get(family, params)  # an unknown family raises below
+    for name in params:
+        if name not in allowed:
+            raise BadParams(f"{family}: unknown parameter {name!r}")
     if family in ("free", "none"):
         gens = tuple(params.get("generators", ("a", "b")))
         return Presentation(gens, ())

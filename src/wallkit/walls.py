@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Literal
 
 from .complexes import Complex, geodesic_tree
@@ -205,18 +205,24 @@ class WallSplit:
 
     The wall's tree edges cut the tree into pieces: the root's piece and,
     for each such edge, the subtree below it minus the pieces nested in it.
-    On a two-sided wall, spans holds (tin, tout, side) of each cut-off
-    subtree, outermost first; the root's piece, with vertex 0, is side 0.
+    On a two-sided wall, spans holds the (tin, tout, side) of each cut-off
+    subtree in one flat tuple, outermost first; the root's piece, with
+    vertex 0, is side 0.
     """
 
-    count: int
-    spans: tuple[tuple[int, int, int], ...] = ()
+    component_count: int
+    spans: tuple[int, ...] = ()
+
+    @property
+    def two_sided(self) -> bool:
+        return self.component_count == 2
 
     def side(self, pos: int) -> int:
         """Side of the vertex with tin pos: the label of the innermost span
         holding pos, 0 outside every span."""
         s = 0
-        for lo, hi, k in self.spans:
+        it = iter(self.spans)
+        for lo, hi, k in zip(it, it, it):
             if lo <= pos < hi:
                 s = k  # later spans holding pos are nested deeper
         return s
@@ -234,11 +240,11 @@ def _split(ws: WallSystem, wid: int) -> WallSplit:
     spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
     if len(edge_ids) == 1:
         if spans and not t.covered[edge_ids[0]]:
-            return WallSplit(2, ((*spans[0], 1),))
+            return WallSplit(2, (*spans[0], 1))
         return WallSplit(1)
     # number the pieces, 0 for the root's and i for the one below the i-th
     # span, and join them along the non-tree edges the wall keeps
-    pieces = WallSplit(len(spans) + 1, tuple((lo, hi, i) for i, (lo, hi) in enumerate(spans, 1)))
+    pieces = WallSplit(len(spans) + 1, tuple(chain.from_iterable((lo, hi, i) for i, (lo, hi) in enumerate(spans, 1))))
     uf = UnionFind(len(spans) + 1)
     removed = set(edge_ids)
     for eid, u, v in t.nontree:
@@ -247,50 +253,37 @@ def _split(ws: WallSystem, wid: int) -> WallSplit:
     label: dict[int, int] = {}
     comp = [label.setdefault(uf.find(i), len(label)) for i in range(len(spans) + 1)]
     if len(label) == 2:
-        split = WallSplit(2, tuple((lo, hi, s) for (lo, hi), s in zip(spans, comp[1:])))
+        split = WallSplit(2, tuple(chain.from_iterable((lo, hi, s) for (lo, hi), s in zip(spans, comp[1:]))))
     else:
         split = WallSplit(len(label))
     ws._splits[wid] = split
     return split
 
 
-@dataclass
-class ComponentSplit:
-    wall: int
-    component_count: int
-    sides: tuple[frozenset[int], frozenset[int]] | None
-
-    @property
-    def two_sided(self) -> bool:
-        return self.component_count == 2
-
-
-def wall_components(ws: WallSystem, wid: int) -> ComponentSplit:
-    """Components of the 1-skeleton after deleting the wall's open edges;
-    the side holding vertex 0 comes first."""
+def wall_sides(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The two components of the 1-skeleton after deleting the wall's open
+    edges, the one holding vertex 0 first; None when the wall is not
+    two-sided."""
     t, split = _tree(ws), _split(ws, wid)
-    sides = None
-    if split.count == 2:
-        # paint each span with its side, outer spans first so that the spans
-        # nested inside them overwrite them
-        side = bytearray(len(t.pre))
-        for lo, hi, s in split.spans:
-            side[lo:hi] = bytes([s]) * (hi - lo)
-        far = frozenset(compress(t.pre, side))
-        sides = (frozenset(t.pre) - far, far)
-    return ComponentSplit(wid, split.count, sides)
+    if not split.two_sided:
+        return None
+    # paint each span with its side, outer spans first so that the spans
+    # nested inside them overwrite them
+    side = bytearray(len(t.pre))
+    it = iter(split.spans)
+    for lo, hi, s in zip(it, it, it):
+        side[lo:hi] = bytes([s]) * (hi - lo)
+    far = frozenset(compress(t.pre, side))
+    return frozenset(t.pre) - far, far
 
 
-def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> dict[int, ComponentSplit]:
+def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> dict[int, WallSplit]:
     """Batch two-sidedness from the wall system's spanning tree: a one-edge
     wall separates iff its edge is a bridge, and a larger wall's component
     count joins the tree pieces its tree edges cut off along the non-tree
     edges it keeps."""
     _tree(ws)  # a disconnected 1-skeleton raises even when there is no wall
-    return {
-        wid: ComponentSplit(wid, _split(ws, wid).count, None)
-        for wid in (ws.wall_ids() if wall_ids is None else wall_ids)
-    }
+    return {wid: _split(ws, wid) for wid in (ws.wall_ids() if wall_ids is None else wall_ids)}
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +504,7 @@ def wall_distance(
     total = 0
     for wid in ws.wall_ids():
         split = _split(ws, wid)
-        total += split.count == 2 and split.side(tp) != split.side(tq)
+        total += split.two_sided and split.side(tp) != split.side(tq)
     return WallDistance(total)
 
 
@@ -519,7 +512,7 @@ def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
     """Side comparison for one wall; None when the wall is not two-sided."""
     split = _split(ws, wid)
     tp, tq = _tin(ws, p), _tin(ws, q)
-    if split.count != 2:
+    if not split.two_sided:
         return None
     return split.side(tp) != split.side(tq)
 

@@ -41,8 +41,8 @@ from wallkit.walls import (
     hypercarrier_check,
     hypergraph_of,
     two_sidedness_report,
-    wall_components,
     wall_distance,
+    wall_sides,
 )
 
 LAMBDA = Fraction(1, 6)
@@ -105,8 +105,7 @@ def test_criterion_2_wall_structure(ball8, ball8_walls):
     assert all(s.two_sided for s in sides.values())
     multi = [w for w in wall_ids if len(ws.walls[w]) > 1]
     for wid in multi:  # spot-check the explicit side decomposition
-        split = wall_components(ws, wid)
-        assert split.two_sided and split.sides is not None
+        assert sides[wid].two_sided and wall_sides(ws, wid) is not None
     # strict hypercarrier convexity over all carrier pairs
     for wid in multi:
         rep = hypercarrier_check(ws, wid, strict=True)

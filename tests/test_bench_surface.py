@@ -1,0 +1,81 @@
+"""The benchmark's hold on the public API.
+
+``perfbench/workloads.py`` and ``perfbench/spans.py`` call wallkit by
+attribute and by keyword.  These tests read both files without importing
+them and check that every name they use still exists and that every
+keyword they pass still binds, so that a change which removes or renames
+one fails here in seconds rather than in the benchmark run.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _aliases(tree: ast.Module) -> dict[str, object]:
+    """The wallkit modules the file imports, by the name it binds them to."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "wallkit":
+            for a in node.names:
+                out[a.asname or a.name] = importlib.import_module(f"wallkit.{a.name}")
+    return out
+
+
+WORKLOADS = _tree("workloads.py")
+ALIASES = _aliases(WORKLOADS)
+
+
+def _module_attrs():
+    for node in ast.walk(WORKLOADS):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ALIASES:
+            yield node
+
+
+def test_workloads_import_the_modules_they_call():
+    assert set(ALIASES) == {"cli", "C", "D", "P", "S", "W"}
+
+
+def test_every_attribute_the_workloads_read_exists():
+    missing = sorted(
+        {f"{a.value.id}.{a.attr}" for a in _module_attrs() if not hasattr(ALIASES[a.value.id], a.attr)}
+    )
+    assert not missing
+
+
+def test_every_keyword_the_workloads_pass_binds():
+    attrs = set(_module_attrs())
+    bound = set()
+    for node in ast.walk(WORKLOADS):
+        if not (isinstance(node, ast.Call) and node.func in attrs):
+            continue
+        fn = getattr(ALIASES[node.func.value.id], node.func.attr)
+        # **params spreads the benchmark's own dicts; their keys are checked
+        # where the presentation families read them
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        args = [None] * sum(not isinstance(a, ast.Starred) for a in node.args)
+        try:
+            inspect.signature(fn).bind(*args, **dict.fromkeys(keywords))
+        except TypeError as e:
+            pytest.fail(f"line {node.lineno}: {node.func.value.id}.{node.func.attr}: {e}")
+        bound.update(keywords)
+    assert {"settled_policy", "via", "strict", "observe", "max_pairs"} <= bound
+
+
+def test_every_traced_function_exists():
+    pairs = []
+    for node in ast.walk(_tree("spans.py")):
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+            pairs = [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    assert len(pairs) >= 10
+    missing = [f"{m}.{f}" for m, f in pairs if not hasattr(importlib.import_module(f"wallkit.{m}"), f)]
+    assert not missing

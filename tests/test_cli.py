@@ -187,7 +187,7 @@ def test_separation_rejects_lambda_past_one_sixth(tmp_path, monkeypatch, capsys)
     assert "outside (0, 1/6]" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     assert main([*argv, "--lambda", "2"]) == 2
-    assert "lambda 2 outside (0, 1)" in capsys.readouterr().err
+    assert "lambda 2 outside (0, 1/6]" in capsys.readouterr().err
 
 
 def test_separation_with_no_pairs_fails(tmp_path):
@@ -220,6 +220,15 @@ def test_separation_refuses_invalid_complexes(tmp_path, capsys, name):
     if code == 1:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["passed"] is False and "h1_trivial" in summary["error"]
+
+
+@pytest.mark.parametrize("base", ["99", "-1"])
+def test_separation_rejects_base_outside_the_vertices(tmp_path, capsys, base):
+    path = tmp_path / "edge.complex"
+    path.write_text(f"wallkit-complex 1\nmeta base {base}\ncounts 2 1 0\nv 0\nv 1\ne 0 0 1\n")
+    assert main(["separation", "--complex-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: base vertex {base} outside 0..1" in captured.err and "pairs=" not in captured.out
 
 
 def test_separation_refuses_non_small_cancellation_complex(capsys):
@@ -394,7 +403,7 @@ def test_separation_rejects_non_positive_max_pairs(tmp_path, max_pairs):
     rc, out, err = run_cli(
         "separation", "--example", "example2", "--max-pairs", max_pairs, "--out", str(tmp_path / "o"),
     )
-    assert rc == 2 and "max_pairs" in err and "pairs=" not in out
+    assert rc == 2 and "--max-pairs" in err and "pairs=" not in out
 
 
 def test_separation_rejects_max_pairs_before_the_build(tmp_path):
@@ -403,8 +412,33 @@ def test_separation_rejects_max_pairs_before_the_build(tmp_path):
     rc, out, err = run_cli(
         "separation", "--family", "tv", "--I", "1,2", "--radius", "30", "--max-pairs", "0", "--out", str(out_dir),
     )
-    assert rc == 2 and "max_pairs" in err and out == ""
+    assert rc == 2 and "--max-pairs" in err and out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("separation", "--radius"),
+        ("separation", "--node-budget"),
+        ("separation", "--vertex-budget"),
+        ("separation", "--max-pairs"),
+        ("walls-dump", "--radius"),
+        ("walls-dump", "--node-budget"),
+        ("walls-dump", "--vertex-budget"),
+        ("word", "--node-budget"),
+    ],
+)
+def test_count_options_below_one_are_usage_errors(command, option, value, monkeypatch, capsys):
+    # every count option goes through one argparse type: exit 2 before anything is built
+    import wallkit.cli as cli
+
+    monkeypatch.setattr(cli, "DehnMachine", lambda *a, **kw: pytest.fail("Dehn machine built"))
+    monkeypatch.setattr(cli, "build_cayley_ball", lambda *a, **kw: pytest.fail("ball built"))
+    word = ["(ab)^4"] if command == "word" else []
+    assert main([command, "--family", "tv", "--I", "1", option, value, *word]) == 2
+    assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_bad_letters_exit_input(tmp_path):

@@ -234,6 +234,17 @@ def test_tv12_ball_validity():
     assert vs.cycle_rank == len(c.cells)
 
 
+def test_validity_summary_runs_one_bfs(monkeypatch):
+    # connectivity and the recorded distances share the BFS from the base
+    tv = gen_example("tv", I={1, 2}, k=7)
+    c = build_cayley_ball(tv, DehnMachine(tv), 7)
+    calls = []
+    bfs = Complex.bfs_distances
+    monkeypatch.setattr(Complex, "bfs_distances", lambda self, src: calls.append(src) or bfs(self, src))
+    assert validity_summary(c).ok
+    assert calls == [c.base]
+
+
 # -- subdivision ------------------------------------------------------------------
 
 
@@ -645,6 +656,14 @@ def test_load_rejects_vertex_past_end(line):
     # a label on a vertex the file does not have would not survive a save
     with pytest.raises(ParseError, match="outside 0..1"):
         load_complex(f"wallkit-complex 1\ncounts 2 1 0\nv 0\nv 1\n{line}\ne 0 0 1\n")
+
+
+@pytest.mark.parametrize("base", ["99", "2", "-1"])
+def test_load_rejects_base_outside_the_vertices(base):
+    # -1 would otherwise index from the end and measure from vertex nv - 1
+    with pytest.raises(ParseError, match=f"base vertex {base} outside 0..1"):
+        load_complex(f"wallkit-complex 1\nmeta base {base}\ncounts 2 1 0\nv 0\nv 1\ne 0 0 1\n")
+    assert load_complex("wallkit-complex 1\nmeta base 1\ncounts 2 1 0\nv 0\nv 1\ne 0 0 1\n").dist == [1, 0]
 
 
 def test_load_rejects_a_repeated_vertex_line():

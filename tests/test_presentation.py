@@ -346,3 +346,19 @@ def test_bad_family_params():
         gen_example("pride", n_max=0)
     with pytest.raises(BadParams):
         gen_example("nope")
+
+
+@pytest.mark.parametrize(
+    "family, params, typo",
+    [
+        ("free", {"generators": ("a", "b"), "generator": ("c",)}, "generator"),
+        ("none", {"gens": ("a",)}, "gens"),
+        ("tv", {"I": {1}, "k": 7, "K": 9}, "K"),
+        ("pride", {"n_max": 1, "nmax": 2}, "nmax"),
+        ("rips", {"j_max": 1, "scale": 16, "q_gens": ("b1",)}, "q_gens"),
+    ],
+)
+def test_gen_example_rejects_unknown_keywords(family, params, typo):
+    # a misspelt keyword would otherwise fall back to the family's default
+    with pytest.raises(BadParams, match=f"{family}: unknown parameter '{typo}'"):
+        gen_example(family, **params)

@@ -28,8 +28,8 @@ from wallkit.walls import (
     hypergraph_of,
     separates,
     two_sidedness_report,
-    wall_components,
     wall_distance,
+    wall_sides,
     walls_to_dot,
 )
 
@@ -122,9 +122,9 @@ def test_example1_wall_structure(ex1):
 
 def test_tree_edge_two_sides(tree):
     ws = build_walls(tree)
-    split = wall_components(ws, ws.wall_ids()[0])
-    assert split.two_sided
-    a, b = split.sides
+    wid = ws.wall_ids()[0]
+    assert two_sidedness_report(ws)[wid].two_sided
+    a, b = wall_sides(ws, wid)
     assert len(a) + len(b) == tree.nv and not (a & b)
 
 
@@ -139,7 +139,11 @@ def test_two_sidedness_batch_matches_explicit(ex1):
     ws = build_walls(ex1)
     rep = two_sidedness_report(ws)
     for wid in ws.wall_ids():
-        assert rep[wid].component_count == wall_components(ws, wid).component_count
+        assert rep[wid].component_count == two_sidedness_report(ws, [wid])[wid].component_count
+        sides = wall_sides(ws, wid)
+        assert (sides is not None) == rep[wid].two_sided
+        if sides is not None:
+            assert len(sides[0]) + len(sides[1]) == ex1.nv and not sides[0] & sides[1]
 
 
 def test_bridges_match_naive(ex1):
@@ -183,13 +187,12 @@ def test_two_sidedness_counts_match_component_labels(build):
     for wid in checked:
         label, count = component_labels(c, frozenset(ws.walls[wid]))
         assert rep[wid].component_count == count, wid
-        split = wall_components(ws, wid)
-        assert split.component_count == count, wid
+        assert rep[wid].two_sided == (count == 2), wid
         if count == 2:
             far = frozenset(itertools.compress(range(c.nv), label))
-            assert split.sides == (frozenset(range(c.nv)) - far, far), wid
+            assert wall_sides(ws, wid) == (frozenset(range(c.nv)) - far, far), wid
         else:
-            assert split.sides is None, wid
+            assert wall_sides(ws, wid) is None, wid
         for i, (p, q) in enumerate(pairs):
             assert separates(ws, wid, p, q) == (label[p] != label[q] if count == 2 else None), (wid, p, q)
             if count == 2 and label[p] != label[q]:
@@ -231,7 +234,7 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
         for call in (
             lambda: build_walls(c),
             lambda: two_sidedness_report(ws),
-            lambda: wall_components(ws, wid),
+            lambda: wall_sides(ws, wid),
             lambda: separates(ws, wid, 0, 1),
             lambda: wall_distance(ws, 0, c.nv - 1),
             lambda: wall_distance(ws, 0, c.nv - 1, via="components"),
@@ -243,11 +246,12 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
     for wid, edge_ids in walls.items():
         label, count = component_labels(c, frozenset(edge_ids))
         assert rep[wid].component_count == count
-        split = wall_components(ws, wid)
-        assert split.component_count == count
+        assert rep[wid].two_sided == (count == 2)
         if count == 2:
             far = frozenset(itertools.compress(range(c.nv), label))
-            assert split.sides == (frozenset(range(c.nv)) - far, far)
+            assert wall_sides(ws, wid) == (frozenset(range(c.nv)) - far, far)
+        else:
+            assert wall_sides(ws, wid) is None
 
 
 def test_truncation_can_break_two_sidedness():
@@ -395,7 +399,7 @@ def test_unknown_wall_id_is_bad_params(ex1):
         (lambda: hypercarrier_check(ws, 10**6), "no wall"),
         (lambda: two_sidedness_report(ws, wall_ids=[10**6]), "no wall"),
         (lambda: separates(ws, 10**6, 0, 1), "no wall"),
-        (lambda: wall_components(ws, 10**6), "no wall"),
+        (lambda: wall_sides(ws, 10**6), "no wall"),
         (lambda: dump_walls(ws, [10**6]), "no wall"),
         (lambda: walls_to_dot(ws, [10**6]), "no wall"),
         (lambda: wall_distance(ws, 0, 0, via="bogus"), "unknown mode"),
