@@ -95,7 +95,9 @@ class Complex:
             frontier = nxt
         return dist
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
+        """Check the structure; return the distances from ``base`` (or from
+        vertex 0 when no base is recorded), the BFS that shows connectivity."""
         if self.nv < 0:
             raise ParseError(f"vertex count {self.nv} is negative")
         for eid, (u, v) in enumerate(self.edges):
@@ -121,8 +123,10 @@ class Complex:
             seen_sets[key] = cid
         if self.base is not None and not 0 <= self.base < self.nv:
             raise ParseError(f"base vertex {self.base} outside 0..{self.nv - 1}")
-        if self.nv and any(d < 0 for d in self.bfs_distances(0)):
+        dist = self.bfs_distances(self.base or 0) if self.nv else []
+        if any(d < 0 for d in dist):
             raise ParseError("1-skeleton is not connected")
+        return dist
 
     def has_odd_cell(self) -> bool:
         return any(len(cell) % 2 for cell in self.cells)
@@ -230,7 +234,9 @@ class _Builder:
 
     def done(self, **metadata) -> Complex:
         c = Complex(self.edges, self.cells, self.nv, self.vertex_labels, self.edge_gens, origin=self.origin, **metadata)
-        c.validate()
+        dist = c.validate()
+        if c.base is not None:
+            c.dist = dist
         return c
 
 
@@ -320,15 +326,12 @@ def subdivide(c: Complex) -> Complex:
             e1, e2 = halves[eid]
             toks.extend([(e1, 1), (e2, 1)] if d > 0 else [(e2, -1), (e1, -1)])
         b.cell(toks)
-    out = b.done(
+    return b.done(
         radius=None if c.radius is None else 2 * c.radius,
         base=c.base,
         subdivided=True,
         generator_names=c.generator_names,
     )
-    if c.base is not None:
-        out.dist = out.bfs_distances(c.base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +918,7 @@ def load_complex(text: str) -> Complex:
         subdivided=meta.get("subdivided") == "1",
         generator_names=gens,
     )
-    c.validate()
+    dist = c.validate()
     if c.base is not None:
-        c.dist = c.bfs_distances(c.base)
+        c.dist = dist
     return c

@@ -223,7 +223,7 @@ def render_presentation(p: Presentation) -> str:
 Occurrence = tuple[int, int, int]  # (relator id, orientation +1/-1, start mod period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
     word: Word
     witnesses: tuple[Occurrence, Occurrence]
@@ -241,12 +241,7 @@ class PieceIndex:
     worst_by_relator: dict[int, Piece | None]
 
 
-_AGREEMENT = re.compile(rb"\x00+")
-
-
-def _byte_planes(v: Word, code: dict[int, int], n_planes: int) -> list[bytes]:
-    """v over the dense letter code, one byte string per 8 bits of the code."""
-    return [bytes((code[x] >> (8 * k)) & 0xFF for x in v) for k in range(n_planes)]
+_DISAGREES = bytes([0] + [1] * 255)  # a mismatch byte -> 1, agreement (0) -> 0
 
 
 def compute_pieces(p: Presentation) -> PieceIndex:
@@ -265,18 +260,20 @@ def piece_index(words: Sequence[Word]) -> PieceIndex:
     shorter witness word, and a longer common run yields every capped window.
 
     Each diagonal d pairs v1[t] with v2[t+d] for t over lcm(|v1|, |v2|)
-    positions.  Both streams are coded as bytes; the XOR of the two as big
-    ints is zero exactly where they agree, so a regex over its bytes reads
-    off the maximal agreement runs.  Two streams are scanned only if some
-    letter, up to sign, occurs in both at distinct positions: no piece can
-    lie anywhere else.
+    positions.  Each letter is coded as ``width`` bytes and each byte plane
+    read as one big int; the XOR of the two streams is zero exactly where
+    they agree.  Its bytes, mapped to 0 (agree) and 1 (differ), are rotated
+    to start at a disagreement, and two ``bytes.find`` scans per run read
+    off each maximal agreement run: ``find(0)`` its start, ``find(1)`` its
+    end.  Pieces with equal words share one ``Word``, looked up by its
+    coded bytes.  Two streams are scanned only if some letter, up to sign,
+    occurs in both at distinct positions: no piece can lie anywhere else.
     """
     alphabet = sorted({s * x for r in words for x in r for s in (1, -1)})
-    code = {x: c for c, x in enumerate(alphabet)}
-    n_planes = max(1, ((len(alphabet) - 1).bit_length() + 7) >> 3)
-    # (witness pair, length) -> (-length, word, witness pair): the values
-    # sort into the reported piece order.
-    found: dict[tuple, tuple] = {}
+    width = max(1, ((len(alphabet) - 1).bit_length() + 7) >> 3)
+    code = {x: c.to_bytes(width, "big") for c, x in enumerate(alphabet)}
+    # a piece word's coded bytes -> (the word, its witness pairs)
+    found: dict[bytes, tuple[Word, set]] = {}
 
     def scan(rid1: int, v1: Word, per1: int, o1: int, rid2: int, v2: Word, per2: int, o2: int):
         same_stream = rid1 == rid2 and o1 == o2
@@ -291,8 +288,13 @@ def piece_index(words: Sequence[Word]) -> PieceIndex:
         else:
             diagonals = range(per1 if rid1 == rid2 else math.gcd(per1, per2))
         doubled1 = v1 + v1
-        ints1 = [int.from_bytes(b * (L // n1), "big") for b in _byte_planes(v1, code, n_planes)]
-        doubled2 = [b + b for b in _byte_planes(v2, code, n_planes)]
+        coded1 = b"".join(map(code.__getitem__, doubled1))
+        coded2 = b"".join(map(code.__getitem__, v2 + v2))
+        ints1 = [int.from_bytes(coded1[k:n1 * width:width] * (L // n1), "big") for k in range(width)]
+        doubled2 = [coded2[k::width] for k in range(width)]
+        # one tuple per occurrence, shared by every piece through it
+        occs1 = [(rid1, o1, s) for s in range(per1)]
+        occs2 = [(rid2, o2, s) for s in range(per2)]
         for d in diagonals:
             diff = 0
             for a, b in zip(ints1, doubled2):
@@ -302,25 +304,29 @@ def piece_index(words: Sequence[Word]) -> PieceIndex:
                 runs = [(0, L + cap - 1)]
             else:
                 # Rotate to start at the first disagreement, so a run
-                # wrapping round the end of the cycle is read as one.
+                # wrapping round the end of the cycle is read as one; the
+                # closing 1 ends a run that reaches the last byte.
                 cut = L - ((diff.bit_length() + 7) >> 3)
-                mism = diff.to_bytes(L, "big")
-                runs = [
-                    ((cut + m.start()) % L, m.end() - m.start())
-                    for m in _AGREEMENT.finditer(mism[cut:] + mism[:cut])
-                ]
+                flags = diff.to_bytes(L, "big").translate(_DISAGREES)
+                flags = flags[cut:] + flags[:cut] + b"\x01"
+                runs = []
+                i = flags.find(0)
+                while i >= 0:
+                    j = flags.find(1, i)
+                    runs.append(((cut + i) % L, j - i))
+                    i = flags.find(0, j)
             for start, run in runs:
-                length = min(run, cap)
+                length = run if run < cap else cap
                 for t in range(start, start + run - length + 1):
-                    occ1 = (rid1, o1, t % per1)
-                    occ2 = (rid2, o2, (t + d) % per2)
-                    pair = (occ1, occ2) if occ1 <= occ2 else (occ2, occ1)
-                    # The pair and the length fix the word: it starts at pair[0].
-                    if (pair, length) not in found:
-                        s = t % n1
-                        # A slice of a Word holds valid letters: skip re-validation.
-                        word = tuple.__new__(Word, doubled1[s:s + length])
-                        found[pair, length] = (-length, word, pair)
+                    s = t % n1
+                    key = coded1[s * width:(s + length) * width]
+                    entry = found.get(key)
+                    if entry is None:
+                        # A slice of a Word holds valid letters.
+                        entry = found[key] = (Word._trusted(doubled1[s:s + length]), set())
+                    occ1 = occs1[t % per1]
+                    occ2 = occs2[(t + d) % per2]
+                    entry[1].add((occ1, occ2) if occ1 <= occ2 else (occ2, occ1))
 
     periods = [r.primitive_period() for r in words]
     letters = [{abs(x) for x in r} for r in words]
@@ -338,20 +344,23 @@ def piece_index(words: Sequence[Word]) -> PieceIndex:
             scan(rid1, r1, per1, 1, rid2, r2, per2, 1)
             scan(rid1, r1, per1, 1, rid2, r2.inverse(), per2, -1)
 
-    rows = sorted(found.values())
-    found.clear()  # drop the keys before the Piece objects are built
-    pieces = tuple(Piece(word, pair) for _, word, pair in rows)
-    max_by: dict[int, int] = {rid: 0 for rid in range(len(words))}
-    worst: dict[int, Piece | None] = {rid: None for rid in range(len(words))}
-    for pc in pieces:
-        for rid, _, _ in pc.witnesses:
-            if pc.length > max_by[rid]:
-                max_by[rid] = pc.length
-                worst[rid] = pc
-    ratio = {
-        rid: Fraction(max_by[rid], len(words[rid])) for rid in max_by
-    }
-    return PieceIndex(pieces, max_by, ratio, worst)
+    # Pieces sort by (-length, word, witnesses): sort the distinct words,
+    # then each word's witness pairs.  Longest first, so the first piece
+    # through a word is its worst.
+    pieces: list[Piece] = []
+    first: dict[int, Piece] = {}
+    for word, pairs in sorted(found.values(), key=lambda e: (-len(e[0]), e[0])):
+        group = [Piece(word, pair) for pair in sorted(pairs)]
+        pairs.clear()  # free each set as its pieces are built
+        pieces += group
+        if len(first) < len(words):
+            for pc in group:
+                for rid, _, _ in pc.witnesses:
+                    first.setdefault(rid, pc)
+    worst = {rid: first.get(rid) for rid in range(len(words))}
+    max_by = {rid: 0 if pc is None else len(pc.word) for rid, pc in worst.items()}
+    ratio = {rid: Fraction(max_by[rid], len(words[rid])) for rid in max_by}
+    return PieceIndex(tuple(pieces), max_by, ratio, worst)
 
 
 # ---------------------------------------------------------------------------

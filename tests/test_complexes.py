@@ -245,6 +245,20 @@ def test_validity_summary_runs_one_bfs(monkeypatch):
     assert calls == [c.base]
 
 
+def test_loading_a_ball_runs_one_bfs(ball7, monkeypatch):
+    # the connectivity check's BFS from the base is the loaded distance list;
+    # subdividing reuses it the same way
+    text = save_complex(ball7)
+    calls = []
+    bfs = Complex.bfs_distances
+    monkeypatch.setattr(Complex, "bfs_distances", lambda self, src: calls.append(src) or bfs(self, src))
+    c = load_complex(text)
+    assert calls == [ball7.base] and c.dist == ball7.dist
+    calls.clear()
+    s = subdivide(c)
+    assert calls == [c.base] and s.dist[:c.nv] == [2 * d for d in c.dist]
+
+
 # -- subdivision ------------------------------------------------------------------
 
 

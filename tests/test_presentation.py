@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from fractions import Fraction
@@ -196,6 +197,27 @@ def test_many_letter_presentation_needs_two_code_bytes():
     assert len(compute_pieces(p).pieces) > 0
 
 
+# Agreement-run shapes for the find-based run finder, each with a piece that
+# only that shape yields: a run wrapping round the end of the cycle (slots 3
+# and 0), a run ending on the last slot, a diagonal that agrees all the way
+# round (every capped window of (ab)^2 in (ab)^3, the "ab2ab3" oracle case),
+# and a proper power whose self-diagonals stop short of its rotational
+# symmetry: its only piece is a.
+_RUN_SHAPES = {
+    "wraps": ("gens: a b c\nrel: abca\nrel: acba\n", (1, 1), ((0, 1, 3), (1, 1, 3))),
+    "ends_last": ("gens: a b c\nrel: abac\nrel: bcac\n", (1, 3), ((0, 1, 2), (1, 1, 2))),
+    "agrees_round": ("gens: a b\nrel: (ab)^2\nrel: (ab)^3\n", (1, 2, 1, 2), ((0, 1, 0), (1, 1, 0))),
+    "power": ("gens: a b\nrel: (aab)^3\n", (1,), ((0, 1, 0), (0, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_SHAPES))
+def test_run_shapes_yield_their_piece(name):
+    text, word, witnesses = _RUN_SHAPES[name]
+    idx = compute_pieces(parse_presentation(text))
+    assert any(tuple(pc.word) == word and pc.witnesses == witnesses for pc in idx.pieces)
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -210,9 +232,10 @@ def test_many_letter_presentation_needs_two_code_bytes():
         parse_presentation(DEMO_01),
         parse_presentation("gens: a b\nrel: (ab)^2\nrel: (ab)^3\n"),
         _many_letter_presentation(),
+        *(parse_presentation(_RUN_SHAPES[name][0]) for name in ("wraps", "ends_last", "power")),
     ],
     ids=["tv1", "tv12", "tv123", "tv12k6", "pride1", "pride2", "pride3", "rips16", "demo01",
-         "ab2ab3", "130gens"],
+         "ab2ab3", "130gens", "wraps", "ends_last", "power"],
 )
 def test_pieces_equal_diagonal_scan_oracle(p):
     assert compute_pieces(p) == diagonal_scan_pieces(p)
@@ -236,6 +259,33 @@ def test_pieces_equal_diagonal_scan_oracle_random(relators):
         return
     p = Presentation(("a", "b", "c"), tuple(rels))
     assert compute_pieces(p) == diagonal_scan_pieces(p)
+
+
+# sha256 of every piece's word and witnesses in the reported order, recorded
+# with the earlier regex run finder; these inputs are too large for the oracles.
+_PIECE_DIGESTS = {
+    "rips24": (("rips", {"j_max": 1, "scale": 24}), 23401,
+               "905cccac2576f3e6d31917962ffa6caa16b2f6e0afe551208b16136ba43822ed"),
+    "rips32": (("rips", {"j_max": 1, "scale": 32}), 53857,
+               "174225264021b8c1acb803e1acf7aefb80ef0a40a4ac6262a5c85812c9371efa"),
+    "pride3": (("pride", {"n_max": 3}), 11160,
+               "3f24bb8399a2c0fccdd85a64ec12cbd7f691ed536e5848465be165865ff0d15c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIECE_DIGESTS))
+def test_piece_bytes_pinned(name):
+    (family, params), count, digest = _PIECE_DIGESTS[name]
+    idx = compute_pieces(gen_example(family, **params))
+    text = "".join(f"{tuple(pc.word)} {pc.witnesses}\n" for pc in idx.pieces)
+    assert len(idx.pieces) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_equal_piece_words_share_one_object():
+    idx = compute_pieces(gen_example("rips", j_max=1, scale=32))
+    assert len({id(pc.word) for pc in idx.pieces}) == len({pc.word for pc in idx.pieces}) == 163
+    assert idx.max_by_relator == {0: 256}
 
 
 # -- metric condition -----------------------------------------------------------
