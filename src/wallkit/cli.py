@@ -174,7 +174,7 @@ def cmd_word(args) -> int:
         print("presentation fails the 1/6 piece condition", file=sys.stderr)
         return EXIT_FAIL
     reduced = dehn_reduce(w, m)
-    nf = shortlex_normal_form(w, m)
+    nf = shortlex_normal_form(reduced, m)
     print(f"reduced: {render(reduced, p.generators)}")
     print(f"normal form: {render(nf, p.generators)}")
     print("trivial" if len(reduced) == 0 else "non-trivial")

@@ -5,13 +5,18 @@ covers strictly more than half of a symmetrized relator by the inverse of
 the remainder.  For presentations passing the 1/6 condition this decides
 triviality; the replacement strategy is leftmost-longest so results are
 deterministic.
+
+``dehn_reduce`` scans with the Aho-Corasick automaton of the rewrite
+trie, looks for the leftmost match in the Lmax // 2 + 1 starts up to its
+first hit (Lmax: the longest relator), splices the match in place, and
+resumes the scan Lmax // 2 letters before the first changed one.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotSmallCancellation
 from .presentation import Presentation, check_small_cancellation
@@ -48,6 +53,7 @@ class DehnMachine:
         # node keeps the first replacement it gets, so the canonically least
         # relator wins ties.
         self._root: dict = {}
+        self.max_relator_len = max(map(len, self.symmetrized), default=0)
         for r in sorted(self.symmetrized, key=lambda r: (len(r), r)):
             node = self._root
             for depth, letter in enumerate(r, start=1):
@@ -107,7 +113,7 @@ class DehnMachine:
                 "presentation did not pass the strict 1/6 piece condition"
             )
 
-    def longest_rewrite_at(self, w: Word, pos: int) -> tuple[int, Word] | None:
+    def longest_rewrite_at(self, w: Sequence[int], pos: int) -> tuple[int, Word] | None:
         """(matched length, replacement) for the longest >half match at pos."""
         node = self._root
         best: tuple[int, Word] | None = None
@@ -121,19 +127,51 @@ class DehnMachine:
 
 
 def dehn_reduce(w: Word, m: DehnMachine) -> Word:
-    """Leftmost-longest Dehn reduction; the result has no >half relator subword."""
+    """Leftmost-longest Dehn reduction; the result has no >half relator subword.
+
+    The freely reduced word is scanned by ``m.automaton()`` from a resume
+    point, in state 0; without a hit it is reduced.  A match starting at p
+    has one of at most h = Lmax // 2 + 1 letters there, the shortest >half
+    prefix of its relator (Lmax = ``m.max_relator_len``).  A hit at index i
+    ends the first match to end, so the leftmost match starts in
+    ``[max(resume, i - h + 1), i]``, where ``longest_rewrite_at`` finds it.
+    It is replaced in a list made at the first hit.  A letter cancelling
+    the replacement's first (last) letter would make a match start one
+    earlier (end one later), so free pairs meet only where an empty
+    replacement was.
+
+    The next scan resumes at ``max(0, c - h + 1)``, c being the first
+    changed index.  A match starting earlier has a short one ending before
+    c, in the unchanged prefix, so that was a match before this rewrite and
+    started left of the one just taken, which was the leftmost: none exists.
+    """
     m._require_ok()
     cur = free_reduce(w)
-    pos = 0
-    while pos < len(cur):
-        found = m.longest_rewrite_at(cur, pos)
-        if found is None:
-            pos += 1
+    delta, hit = m.automaton()
+    back = m.max_relator_len // 2
+    resume = 0
+    while True:
+        s = 0
+        for i in range(resume, len(cur)):
+            s = delta[s][cur[i]]
+            if hit[s]:
+                break
         else:
-            length, repl = found
-            cur = free_reduce(cur[:pos] + repl + cur[pos + length:])
-            pos = 0
-    return cur
+            return cur if type(cur) is Word else Word._trusted(cur)
+        for pos in range(max(resume, i - back), i + 1):
+            found = m.longest_rewrite_at(cur, pos)
+            if found is not None:
+                break
+        length, repl = found
+        if type(cur) is Word:
+            cur = list(cur)
+        cur[pos:pos + length] = repl
+        lo = hi = pos
+        while lo > 0 and hi < len(cur) and cur[lo - 1] == -cur[hi]:
+            lo -= 1
+            hi += 1
+        del cur[lo:hi]
+        resume = max(0, lo - back)
 
 
 def is_trivial(w: Word, m: DehnMachine) -> bool:

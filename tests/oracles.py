@@ -16,7 +16,7 @@ from wallkit.errors import BudgetExceeded
 from wallkit.presentation import Piece, PieceIndex, Presentation
 from wallkit.separation import PairRow
 from wallkit.walls import ConvexityReport, WallDistance
-from wallkit.words import Word
+from wallkit.words import Word, free_reduce
 
 
 # -- cyclic word keys ------------------------------------------------------------
@@ -190,6 +190,27 @@ def completes_half_relator(w, prefixes: set[tuple]) -> bool:
     """Whether some suffix of w is one of ``half_relator_prefixes``."""
     w = tuple(w)
     return any(w[i:] in prefixes for i in range(len(w)))
+
+
+# -- Dehn reduction by restarting from the left ---------------------------------
+
+
+def dehn_reduce_restart(w: Word, m: DehnMachine) -> Word:
+    """Leftmost-longest Dehn reduction that tries every position from the
+    left with the trie, and after each rewrite freely reduces the whole
+    word and starts again at position 0."""
+    m._require_ok()
+    cur = free_reduce(w)
+    pos = 0
+    while pos < len(cur):
+        found = m.longest_rewrite_at(cur, pos)
+        if found is None:
+            pos += 1
+        else:
+            length, repl = found
+            cur = free_reduce(cur[:pos] + repl + cur[pos + length:])
+            pos = 0
+    return cur
 
 
 # -- shortlex normal forms by enumeration ---------------------------------------

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bucket_key, completes_half_relator, free_product_trivial, half_relator_prefixes, shortlex_search
+from oracles import (
+    bucket_key,
+    completes_half_relator,
+    dehn_reduce_restart,
+    free_product_trivial,
+    half_relator_prefixes,
+    shortlex_search,
+)
 from wallkit import complexes
 from wallkit.dehn import (
     DehnMachine,
@@ -135,13 +142,15 @@ def test_automaton_is_built_once_and_only_on_demand():
     p = gen_example("tv", I={1, 2}, k=7)
     m = DehnMachine(p)
     assert m._automaton is None and m._elements is None
+    # The first reduction builds the automaton it scans with; later
+    # reductions reuse it.
     dehn_reduce(Word((1, 2) * 8), m)
+    a = m._automaton
+    assert a is not None and m._elements is None
     is_trivial(Word((1, 2) * 7), m)
-    assert m._automaton is None and m._elements is None
-    a = m.automaton()
     assert m.automaton() is a
     check_small_cancellation(p, Fraction(1, 6))
-    assert m._elements is None
+    assert m._automaton is a and m._elements is None
     t = m.elements()
     assert m.elements() is t and m.automaton() is a
     free = DehnMachine(gen_example("free"))
@@ -183,6 +192,67 @@ def test_dehn_reduce_matches_recorded_digest():
         for w in short + _relator_products(p, len(I)):
             h.update(repr(tuple(dehn_reduce(w, m))).encode() + b"\n")
     assert h.hexdigest() == DEHN_DIGEST
+
+
+DIFF_CASES = [(I, k) for k in (7, 10) for I in ({1}, {1, 2}, {1, 2, 3}, {2, 3})]
+DIFF_IDS = [f"tv{''.join(map(str, sorted(I)))}-k{k}" for I, k in DIFF_CASES]
+
+
+@pytest.fixture(scope="module", params=DIFF_CASES, ids=DIFF_IDS)
+def diff_machine(request):
+    I, k = request.param
+    return DehnMachine(gen_example("tv", I=I, k=k))
+
+
+def _assert_same_as_restart(w, m):
+    r = dehn_reduce(w, m)
+    assert r == dehn_reduce_restart(w, m), w
+    assert type(r) is Word and dehn_reduce(r, m) == r, w
+    return r
+
+
+@st.composite
+def _fragment_words(draw, sym):
+    """Relator fragments and whole relators, each between a conjugator and
+    its inverse and followed by free letters: a whole relator is deleted,
+    and its conjugators then cancel on through it.  Optionally a >half
+    relator prefix comes first or last."""
+    letters = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=3)
+
+    def half():
+        r = draw(st.sampled_from(sym))
+        return list(r[: draw(st.integers(len(r) // 2 + 1, len(r)))])
+
+    w = half() if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        r = draw(st.sampled_from(sym))
+        a = draw(st.integers(0, len(r) - 1))
+        frag = r if draw(st.booleans()) else r[a:draw(st.integers(a + 1, len(r)))]
+        conj = draw(letters)
+        w += conj + list(frag) + [-x for x in reversed(conj)] + draw(letters)
+    if draw(st.booleans()):
+        w += half()
+    return Word(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dehn_reduce_matches_restart_oracle(diff_machine, data):
+    _assert_same_as_restart(data.draw(_fragment_words(sorted(diff_machine.symmetrized))), diff_machine)
+
+
+def test_dehn_reduce_matches_restart_oracle_at_edges(diff_machine):
+    # A shortest >half relator prefix h as the whole word, at the very
+    # start, and at the very end, after a free letter that does not cancel
+    # it.  Then h with a whole relator z before its last letter: deleting z
+    # makes a match that starts as far left of the change as one can.
+    sym = sorted(diff_machine.symmetrized)
+    for r in sym:
+        h = list(r[: len(r) // 2 + 1])
+        x = next(y for y in (1, -1, 2, -2) if y != -h[0] and y != -h[-1])
+        z = next(list(s) for s in sym if s[0] not in (h[-1], -h[-2]) and s[-1] != -h[-1])
+        for w in (h, h + [x], [x] + h, h + [x] + h, h[:-1] + z + h[-1:]):
+            assert _assert_same_as_restart(Word(w), diff_machine) != free_reduce(Word(w))
 
 
 @settings(max_examples=150, deadline=None)
