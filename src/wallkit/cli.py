@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="piece condition check on a presentation")
     _add_source_args(sp, with_example=False)
-    sp.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 6))
+    sp.add_argument("--lambda", dest="lam", type=_fraction, default=None, help="default: the presentation's lambda")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("separation", help="wall vs path metric comparison")

@@ -791,6 +791,21 @@ class ValiditySummary:
         return not self.failing()
 
 
+def _cell_rank(cells: Iterable[Sequence[Token]]) -> int:
+    """The GF(2) rank of the cells' edge masks, by an XOR basis keyed by
+    top bit: a new mask is cleared until its top bit is new or it is 0."""
+    basis: dict[int, int] = {}
+    for cell in cells:
+        mask = 0
+        for eid, _ in cell:
+            mask ^= 1 << eid
+        while mask.bit_length() in basis:
+            mask ^= basis[mask.bit_length()]
+        if mask:
+            basis[mask.bit_length()] = mask
+    return len(basis)
+
+
 def validity_summary(c: Complex, lam: Fraction = Fraction(1, 6)) -> ValiditySummary:
     # one BFS, from the recorded base if any, serves both connectivity and
     # the recorded distances; the piece check is the strict C'(lam) bound
@@ -798,21 +813,7 @@ def validity_summary(c: Complex, lam: Fraction = Fraction(1, 6)) -> ValiditySumm
     connected = all(d >= 0 for d in dist)
     even_cells = not c.has_odd_cell()
     cycle_rank = len(c.edges) - c.nv + 1
-    masks = []
-    for cid in range(len(c.cells)):
-        mask = 0
-        for eid, _ in c.cells[cid]:
-            mask ^= 1 << eid
-        masks.append(mask)
-    rank = 0
-    basis: list[int] = []
-    for mask in masks:
-        for b in basis:
-            mask = min(mask, mask ^ b)
-        if mask:
-            basis.append(mask)
-            basis.sort(reverse=True)
-            rank += 1
+    rank = _cell_rank(c.cells)
     dist_ok = c.dist is None or c.base is None or dist == list(c.dist)
     return ValiditySummary(
         connected, even_cells, cycle_rank, rank, cycle_rank == rank, dist_ok, check_B6(c, lam).cprime_passed

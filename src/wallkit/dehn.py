@@ -32,10 +32,13 @@ def env_budget(default: int) -> int:
 
 
 class DehnMachine:
-    """Immutable rewrite engine for one presentation.
+    """Rewrite engine for one presentation.
 
-    The rewrite trie is nested dicts: a node maps each letter to its child
-    and holds its replacement, if any, under key 0, which is never a letter.
+    The rewrite trie is a list of rows of 2g+1 entries, one per node, the
+    root 0: ``row[x]`` is the child on letter x (a negative x indexes from
+    the end), or 0, and ``row[0]``, never a letter, is 1 + the index in
+    ``symmetrized`` of the relator whose >half prefix ends there, or 0.
+    ``automaton()`` fills its transitions into the same rows.
     """
 
     def __init__(self, presentation: Presentation, *, node_budget: int | None = None):
@@ -46,57 +49,57 @@ class DehnMachine:
             raise BudgetExceeded(
                 f"symmetrized index needs ~{index_size} nodes; raise the node budget to allow it"
             )
-        self.symmetrized = tuple(sorted(symmetrize(presentation.relators)))
+        self.symmetrized = sym = tuple(sorted(symmetrize(presentation.relators)))
         self.small_cancellation_ok = check_small_cancellation(presentation, Fraction(1, 6)).passed
-        # A prefix covering > half of a symmetrized relator is replaced by the
-        # inverse of the remainder.  Relators go in by (length, word), and a
-        # node keeps the first replacement it gets, so the canonically least
-        # relator wins ties.
-        self._root: dict = {}
-        self.max_relator_len = max(map(len, self.symmetrized), default=0)
-        for r in sorted(self.symmetrized, key=lambda r: (len(r), r)):
-            node = self._root
-            for depth, letter in enumerate(r, start=1):
-                node = node.setdefault(letter, {})
-                if 2 * depth > len(r) and 0 not in node:
-                    node[0] = Word(r[depth:]).inverse()
+        self.max_relator_len = max(map(len, sym), default=0)
+        # Relators go in by (length, word), and a node keeps the first
+        # relator it gets, so the canonically least relator wins ties.
+        width = 2 * len(presentation.generators) + 1
+        self._rows = rows = [[0] * width]
+        self._depth = depth = [0]
+        for k in sorted(range(len(sym)), key=lambda k: (len(sym[k]), sym[k])):
+            r, s = sym[k], 0
+            for d, x in enumerate(r, start=1):
+                if not rows[s][x]:
+                    rows[s][x] = len(rows)
+                    rows.append([0] * width)
+                    depth.append(d)
+                s = rows[s][x]
+                if 2 * d > len(r) and not rows[s][0]:
+                    rows[s][0] = k + 1
         self._automaton: tuple[list[list[int]], list[bool]] | None = None
         self._elements = None
 
     def automaton(self) -> tuple[list[list[int]], list[bool]]:
         """``(delta, hit)``: the Aho-Corasick automaton (Aho-Corasick 1975)
-        of the trie, built on first use.
-
-        States are the trie nodes numbered breadth first, the root 0.  After
-        a text is read, the state is the longest suffix of the text that
-        spells a trie path.  ``delta[s][x]`` is the state after letter x is
-        read in state s; a row has 2g+1 entries, so a negative letter
-        indexes it from the end.  ``hit[s]`` holds when some suffix of the
-        text read covers more than half of a symmetrized relator: the node,
-        or a node on its failure chain, holds a replacement.
+        of the trie, filled into its rows on first use.  After a text is
+        read, the state is the node of the longest suffix of the text that
+        spells a trie path, and ``delta[s][x]`` is the state after letter x
+        in state s.  ``hit[s]`` holds when some suffix of the text covers
+        more than half of a symmetrized relator: the node, or a node on its
+        failure chain, names a relator.
         """
         if self._automaton is None:
-            g = len(self.presentation.generators)
-            letters = [sign * x for x in range(1, g + 1) for sign in (1, -1)]
-            nodes = [self._root]
-            fail = [0]
-            hit = [False]
-            delta: list[list[int]] = []
-            # Breadth first, so a state's failure target, being shallower,
-            # has its row complete before the state's own row is copied.
-            # Until a child overwrites it, row[x] is where x leads from the
-            # failure target: the child's own failure target.
-            for s, node in enumerate(nodes):
-                row = list(delta[fail[s]]) if s else [0] * (2 * g + 1)
+            rows, g = self._rows, len(self.presentation.generators)
+            letters = [x for x in range(-g, g + 1) if x]
+            fail = [0] * len(rows)
+            hit = [False] * len(rows)
+            # Breadth first, so a node's failure target, being shallower, has
+            # its row complete when the node is visited.  Where x leads from
+            # there is the node's missing entry on x, or its child's target.
+            order = [0]
+            for s in order:
+                row, frow = rows[s], rows[fail[s]]
                 for x in letters:
-                    child = node.get(x)
-                    if child is not None:
-                        fail.append(row[x])
-                        hit.append(0 in child or hit[row[x]])
-                        row[x] = len(nodes)
-                        nodes.append(child)
-                delta.append(row)
-            self._automaton = (delta, hit)
+                    t = frow[x] if s else 0
+                    child = row[x]
+                    if child:
+                        fail[child] = t
+                        hit[child] = rows[child][0] > 0 or hit[t]
+                        order.append(child)
+                    else:
+                        row[x] = t
+            self._automaton = (rows, hit)
         return self._automaton
 
     def elements(self):
@@ -115,15 +118,17 @@ class DehnMachine:
 
     def longest_rewrite_at(self, w: Sequence[int], pos: int) -> tuple[int, Word] | None:
         """(matched length, replacement) for the longest >half match at pos."""
-        node = self._root
-        best: tuple[int, Word] | None = None
+        rows, depth = self._rows, self._depth
+        s = best = length = 0
         for i in range(pos, len(w)):
-            node = node.get(w[i])
-            if node is None:
-                break
-            if 0 in node:
-                best = (i + 1 - pos, node[0])
-        return best
+            s = rows[s][w[i]]
+            if depth[s] != i + 1 - pos:
+                break  # no child on w[i]: a failure transition or none
+            if rows[s][0]:
+                best, length = rows[s][0], i + 1 - pos
+        if not best:
+            return None
+        return length, Word._trusted([-x for x in reversed(self.symmetrized[best - 1][length:])])
 
 
 def dehn_reduce(w: Word, m: DehnMachine) -> Word:

@@ -142,14 +142,8 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
             exp = parse_power()
             parts = _segment_names(run, names, pos)
             letters = [index[p] + 1 for p in parts]
-            if exp != 1 and len(parts) > 1:
-                # power applies to the whole run, e.g. "ab^7" reads as (ab)^7
-                # only when parenthesised; here it binds to the last name.
-                head, last = letters[:-1], letters[-1:]
-                out.extend(head)
-                out.extend(_power(last, exp))
-            else:
-                out.extend(_power(letters, exp))
+            out.extend(letters[:-1])
+            out.extend(_power(letters[-1:], exp))
         return out
 
     def _power(seq: list[int], exp: int) -> list[int]:

@@ -192,6 +192,23 @@ def completes_half_relator(w, prefixes: set[tuple]) -> bool:
     return any(w[i:] in prefixes for i in range(len(w)))
 
 
+def longest_rewrite_naive(symmetrized, w, pos: int) -> tuple[int, Word] | None:
+    """(matched length, replacement) for the longest >half relator prefix
+    starting at w[pos], the shortest and then least relator on a tie, by
+    matching every symmetrized relator there."""
+    best = None
+    for r in symmetrized:
+        n = 0
+        while pos + n < len(w) and n < len(r) and w[pos + n] == r[n]:
+            n += 1
+        if 2 * n > len(r) and (best is None or (-n, len(r), r) < (-best[0], len(best[1]), best[1])):
+            best = (n, r)
+    if best is None:
+        return None
+    n, r = best
+    return n, Word(r[n:]).inverse()
+
+
 # -- Dehn reduction by restarting from the left ---------------------------------
 
 
@@ -399,6 +416,22 @@ def brute_force_b6(c, intervals_by_cell) -> bool:
             if 2 * reach(s, 3) > L:
                 return False
     return True
+
+
+# -- GF(2) rank of cell masks ---------------------------------------------------
+
+
+def gf2_rank_sorted(masks) -> int:
+    """Rank over GF(2) of bit masks: each mask is reduced against a basis kept
+    sorted in decreasing order, and a nonzero remainder joins the basis."""
+    basis: list[int] = []
+    for mask in masks:
+        for b in basis:
+            mask = min(mask, mask ^ b)
+        if mask:
+            basis.append(mask)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 # -- walls -----------------------------------------------------------------------

@@ -71,11 +71,31 @@ def test_every_keyword_the_workloads_pass_binds():
     assert {"settled_policy", "via", "strict", "observe", "max_pairs"} <= bound
 
 
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    """The value the module-level statement ``name = ...`` assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
+            return node.value
+    raise AssertionError(f"spans.py assigns no {name}")
+
+
+SPANS = _tree("spans.py")
+TRACED = [(e.elts[0].value, e.elts[1].value) for e in _assigned(SPANS, "TARGETS").elts]
+
+
 def test_every_traced_function_exists():
-    pairs = []
-    for node in ast.walk(_tree("spans.py")):
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
-            pairs = [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
-    assert len(pairs) >= 10
-    missing = [f"{m}.{f}" for m, f in pairs if not hasattr(importlib.import_module(f"wallkit.{m}"), f)]
+    assert len(TRACED) >= 10
+    missing = [f"{m}.{f}" for m, f in TRACED if not hasattr(importlib.import_module(f"wallkit.{m}"), f)]
     assert not missing
+
+
+def test_every_binding_hook_names_a_traced_binding():
+    # A hook keyed by a name its module does not bind to the traced target
+    # is never installed, and its counters (the interner probes) read 0.
+    home = {f: m for m, f in TRACED}
+    keys = [(k.elts[0].value, k.elts[1].value) for k in _assigned(SPANS, "BINDING_HOOKS").keys]
+    assert keys
+    for mod, name in keys:
+        assert name in home, name
+        target = getattr(importlib.import_module(f"wallkit.{home[name]}"), name)
+        assert getattr(importlib.import_module(f"wallkit.{mod}"), name, None) is target, f"{mod}.{name}"

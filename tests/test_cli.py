@@ -46,6 +46,16 @@ def test_check_exit_codes(pres_files):
     assert rc == 2 and "error" in err
 
 
+def test_check_reads_the_files_lambda(tmp_path, capsys):
+    # tv{1,2} k=7 has pieces of ratio 1/7: C'(1/6) holds, C'(1/8) does not.
+    pres = tmp_path / "tv_12_7_eighth.pres"
+    pres.write_text("gens: a b\nlambda: 1/8\nrel: (ab)^7\nrel: (aabb)^7\n")
+    assert main(["check", "--input", str(pres)]) == 1
+    assert "condition C'(1/8): fail" in capsys.readouterr().out
+    assert main(["check", "--input", str(pres), "--lambda", "1/6"]) == 0
+    assert "condition C'(1/6): pass" in capsys.readouterr().out
+
+
 def test_check_prints_worst_piece(pres_files):
     good, _, _ = pres_files
     rc, out, _ = run_cli("check", "--input", str(good))

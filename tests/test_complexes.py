@@ -1,11 +1,12 @@
 import hashlib
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf
+from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf, gf2_rank_sorted
 from wallkit import complexes
 from wallkit.complexes import (
     Complex,
@@ -232,6 +233,36 @@ def test_tv12_ball_validity():
     vs = validity_summary(c)
     assert vs.ok
     assert vs.cycle_rank == len(c.cells)
+
+
+def _cell_masks(c):
+    masks = []
+    for cell in c.cells:
+        mask = 0
+        for eid, _ in cell:
+            mask ^= 1 << eid
+        masks.append(mask)
+    return masks
+
+
+def test_cell_rank_matches_sorted_basis_oracle(ball7):
+    # Random sparse masks, some of them XORs of two earlier ones, so that
+    # dependent masks and repeats occur.
+    rng = random.Random(19)
+    for _ in range(300):
+        bits = rng.randint(1, 48)
+        masks = []
+        for _ in range(rng.randint(0, 40)):
+            if masks and rng.random() < 0.3:
+                masks.append(rng.choice(masks) ^ rng.choice(masks))
+            else:
+                masks.append(sum(1 << b for b in rng.sample(range(bits), rng.randint(0, min(bits, 6)))))
+        cells = [[(e, 1) for e in range(mask.bit_length()) if mask >> e & 1] for mask in masks]
+        assert complexes._cell_rank(cells) == gf2_rank_sorted(masks), masks
+    twice = Complex([(0, 1), (1, 2), (2, 0)], [((0, 1), (1, 1), (2, 1))] * 2, 3)
+    for c in (ball7, subdivide(ball7), build_example1([1, 2, 3]), build_example2(2, 14), twice):
+        assert validity_summary(c).cell_rank == gf2_rank_sorted(_cell_masks(c))
+    assert validity_summary(twice).cell_rank == 1
 
 
 def test_validity_summary_runs_one_bfs(monkeypatch):

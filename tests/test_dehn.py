@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     dehn_reduce_restart,
     free_product_trivial,
     half_relator_prefixes,
+    longest_rewrite_naive,
     shortlex_search,
 )
 from wallkit import complexes
@@ -26,8 +28,8 @@ from wallkit.dehn import (
     shortlex_normal_form,
 )
 from wallkit.errors import BudgetExceeded, NotSmallCancellation
-from wallkit.presentation import check_small_cancellation, gen_example, parse_presentation
-from wallkit.words import Word, free_reduce
+from wallkit.presentation import Presentation, check_small_cancellation, gen_example, parse_presentation
+from wallkit.words import Word, cyclic_reduce, free_reduce
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,104 @@ def test_dehn_reduce_matches_restart_oracle_at_edges(diff_machine):
             assert _assert_same_as_restart(Word(w), diff_machine) != free_reduce(Word(w))
 
 
+def _random_presentation(seed, g, count, length=100):
+    """`count` seeded relators of about `length` random letters over g
+    generators, each kept only if the presentation still passes C'(1/6).
+    Their tries branch at every depth, unlike the periodic tv relators'."""
+    rng = random.Random(seed)
+    gens = tuple("abc"[:g])
+    rels = []
+    while len(rels) < count:
+        r = cyclic_reduce(Word(_random_reduced(rng, length, g)))[0]
+        p = Presentation(gens, tuple(rels + [r]))
+        if check_small_cancellation(p, Fraction(1, 6)).passed:
+            rels.append(r)
+    return p
+
+
+@pytest.fixture(scope="module", params=[(2, 3), (3, 4)], ids=["g2", "g3"])
+def branchy(request):
+    g, count = request.param
+    return DehnMachine(_random_presentation(10 * g + count, g, count))
+
+
+def _conjugated_relators(rng, m, count, free_letters):
+    """A product of `count` cyclic shifts of relators or their inverses,
+    each between a random conjugator and its inverse; with `free_letters`
+    a random letter follows each, so the product need not be trivial."""
+    g = len(m.presentation.generators)
+    w = []
+    for _ in range(count):
+        r = rng.choice(m.symmetrized)
+        conj = _random_reduced(rng, rng.randint(0, 4), g)
+        w += conj + list(r) + [-x for x in reversed(conj)]
+        if free_letters:
+            w += _random_reduced(rng, 1, g)
+    return Word(w)
+
+
+def test_branchy_products_of_conjugated_relators_reduce_to_one(branchy):
+    rng = random.Random(29)
+    for count in (1, 2, 3, 5):
+        for _ in range(4):
+            assert dehn_reduce(_conjugated_relators(rng, branchy, count, False), branchy) == Word()
+
+
+def test_branchy_dehn_reduce_matches_restart_oracle(branchy):
+    # Conjugated relators with a free letter after each, then a >half
+    # relator prefix: the prefix is rewritten, and its replacement may
+    # cancel into the letters before it.
+    rng = random.Random(31)
+    changed = 0
+    for _ in range(12):
+        w = list(_conjugated_relators(rng, branchy, rng.randint(1, 3), True))
+        r = rng.choice(branchy.symmetrized)
+        w += r[: rng.randint(len(r) // 2 + 1, len(r))]
+        changed += _assert_same_as_restart(Word(w), branchy) != free_reduce(Word(w))
+    assert changed == 12
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_branchy_dehn_reduce_matches_restart_oracle_on_fragments(branchy, data):
+    _assert_same_as_restart(data.draw(_fragment_words(sorted(branchy.symmetrized))), branchy)
+
+
+def test_branchy_longest_rewrite_matches_naive_search(branchy):
+    # On a fresh machine the rows hold trie edges only; after automaton()
+    # they also hold the failure transitions, which the walk must not take.
+    m = DehnMachine(branchy.presentation)
+    rng = random.Random(37)
+    words = [free_reduce(_conjugated_relators(rng, m, 2, True)) for _ in range(3)]
+    matched = 0
+    for build in (False, True):
+        if build:
+            m.automaton()
+        assert (m._automaton is not None) == build
+        for w in words:
+            for pos in range(len(w)):
+                want = longest_rewrite_naive(m.symmetrized, w, pos)
+                assert m.longest_rewrite_at(w, pos) == want, (w, pos)
+                matched += want is not None
+    assert matched
+
+
+def test_rewrite_trie_memory_is_bounded():
+    # Three relators of about 100 letters over two generators: the trie
+    # and its automaton share one set of rows and store no replacement
+    # words, about 9.1 MiB under tracemalloc.  A dict trie beside the
+    # automaton's rows, with a replacement word per node, held 27.4 MiB.
+    p = _random_presentation(1, 2, 3)
+    tracemalloc.start()
+    try:
+        m = DehnMachine(p)
+        m.automaton()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 15 * 2**20, held
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=24))
 def test_reduce_properties_against_oracle(letters):
@@ -342,10 +442,11 @@ def test_budget_leaves_the_element_table_exact():
     assert [len(w) for w in words] == sorted(len(w) for w in words)
 
 
-def _random_reduced(rng, n):
+def _random_reduced(rng, n, g=2):
+    letters = [s * x for x in range(1, g + 1) for s in (1, -1)]
     out = []
     while len(out) < n:
-        x = rng.choice((1, -1, 2, -2))
+        x = rng.choice(letters)
         if not out or out[-1] != -x:
             out.append(x)
     return out

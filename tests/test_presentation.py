@@ -40,6 +40,10 @@ def test_parse_superscript_inverse_and_powers():
     assert p.relators[0] == Word((1, -2, 1, 2))
     assert parse_word("(ab)^-2", ("a", "b")) == Word((-2, -1, -2, -1))
     assert parse_word("a^3", ("a", "b")) == Word((1, 1, 1))
+    # A power binds to the last name of a run: "ab^3" is a b^3, not (ab)^3.
+    assert parse_word("ab^3", ("a", "b")) == Word((1, 2, 2, 2))
+    assert parse_word("ab^-1", ("a", "b")) == Word((1, -2))
+    assert parse_word("ab^0", ("a", "b")) == Word((1,))
 
 
 def test_parse_multichar_names():
