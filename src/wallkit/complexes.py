@@ -383,8 +383,10 @@ def _find_finite_quotients(p: Presentation, seed: int) -> dict[int, tuple[int, .
 
     Used only to bucket candidate vertices during ball construction: merges
     are always re-verified exactly, so these affect speed, not correctness.
-    Each quotient has at most 9 points, so the union has at most 27: far
-    below the 256 that ElementTable's bytes image can hold.
+    A quotient has 6 to 9 points, or e for each exponent e > 9 of a
+    relator u^e, so that u can act as an e-cycle: with (ab)^13 = 1, ab is
+    trivial on 9 points or fewer.  e is capped so that the union of the
+    quotients fits the 256 points of ElementTable's bytes image.
     """
     g = len(p.generators)
     union: dict[int, list[int]] = {s * (gi + 1): [] for gi in range(g) for s in (1, -1)}
@@ -392,10 +394,12 @@ def _find_finite_quotients(p: Presentation, seed: int) -> dict[int, tuple[int, .
         return {x: () for x in union}
     total_len = sum(len(r) for r in p.relators)
     tries = max(200, min(QUOTIENT_TRIES, 4_000_000 // max(1, total_len)))
+    powers = {len(r) // r.primitive_period() for r in p.relators}
+    degrees = (6, 7, 8, 9) + tuple(sorted(e for e in powers if 9 < e <= 256 // QUOTIENTS_WANTED))
     rng = random.Random(seed)
     seen = set()
     for _ in range(tries):
-        m = rng.choice((6, 7, 8, 9))
+        m = rng.choice(degrees)
         perms = []
         for _ in range(g):
             perm = list(range(m))
@@ -422,7 +426,9 @@ class ElementTable:
     ``spheres[k + 1]``.
 
     Element v keeps its least word ``words[v]`` (``vid_of`` maps it back),
-    its automaton state, and its bucket key: its image in a few finite
+    the move that made it, ``parent[v] * letter[v]`` (the shortlex tree,
+    which is all a Cayley ball keeps of the table), its automaton state,
+    and its bucket key: its image in a few finite
     quotients that the seed picks, and its abelianization class.  A move
     w*x lands on the element of w*x's Dehn reduction, or else on one that
     shares its key and that Dehn's algorithm proves equal to it, so the
@@ -451,6 +457,8 @@ class ElementTable:
         self.delta, self.hit = m.automaton()
         self.words: list[Word] = [Word()]
         self.vid_of: dict[Word, int] = {Word(): 0}
+        self.parent = array("l", [-1])
+        self.letter = array("b", [0])
         self.state = array("l", [0])
         # bucket key: (image of the quotients' points, abelian residue)
         self.keys: list[tuple[bytes, tuple]] = [(bytes(range(points)), (0,) * g)]
@@ -473,6 +481,7 @@ class ElementTable:
         is None), and the walk closes the next sphere when it ends."""
         m, hit, relators, tabs, ab_step = self.m, self.hit, self.p.relators, self.tabs, self.ab_step
         words, vid_of, state, keys, buckets = self.words, self.vid_of, self.state, self.keys, self.buckets
+        parent, letter = self.parent, self.letter
         trusted = Word._trusted
         for u in range(self.spheres[-2], self.spheres[-1]):
             wu = words[u]
@@ -500,6 +509,8 @@ class ElementTable:
                     cand = trusted(cand)
                     words.append(cand)
                     vid_of[cand] = v
+                    parent.append(u)
+                    letter.append(x)
                     state.append(s)
                     keys.append(key)
                     buckets.setdefault(key, []).append(v)
@@ -537,18 +548,23 @@ class ElementTable:
 
 
 class WordLabels(Mapping):
-    """Vertex labels of a Cayley ball, each vertex's word rendered with the
-    generator names.  The first read renders every label and drops the
-    words; the build reads none."""
+    """Vertex labels of a Cayley ball: each vertex's word in the shortlex
+    tree (vertex v > 0 is ``parent[v] * letter[v]``), rendered with the
+    generator names.  The first read spells the words out, parents first,
+    and renders every label; the build reads none, and keeps no word."""
 
-    def __init__(self, words: Sequence[Word], names: Sequence[str]):
-        self._words, self._names = words, names
+    def __init__(self, parent: Sequence[int], letter: Sequence[int], names: Sequence[str]):
+        self._tree, self._names = (parent, letter), names
         self._labels: dict[int, str] | None = None
 
     def _rendered(self) -> dict[int, str]:
         if self._labels is None:
-            self._labels = {vid: render(w, self._names) for vid, w in enumerate(self._words)}
-            self._words = ()
+            parent, letter = self._tree
+            words = [Word()]
+            for u, x in zip(parent[1:], letter[1:]):
+                words.append(Word._trusted(words[u] + (x,)))
+            self._labels = {vid: render(w, self._names) for vid, w in enumerate(words)}
+            self._tree = ((), ())
         return self._labels
 
     def __getitem__(self, vid: int) -> str:
@@ -559,6 +575,64 @@ class WordLabels(Mapping):
 
     def __len__(self) -> int:
         return len(self._rendered())
+
+
+def _grow_ball(p: Presentation, m: DehnMachine, radius: int, *, vertex_budget: int, seed: int) -> tuple:
+    """The generator moves between the elements of an ElementTable grown
+    ``radius`` times: ``(edges, edge_gens, moves, parent, letter,
+    spheres)``, with ``moves[x][u]`` the id of the edge of u*x and the
+    table's shortlex tree and spheres.  The table dies on return."""
+    table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
+    edges: list[tuple[int, int]] = []
+    edge_gens: dict[int, int] = {}
+    moves: dict[int, dict[int, int]] = {x: {} for x in table.letters}
+    # The last pass (level == radius) makes no element: it only closes edges
+    # among the boundary vertices, and a move that meets no element leaves
+    # the ball.
+    for level in range(radius + 1):
+        for u, x, v in table.walk(make=level < radius):
+            # u * letter(x) = v, stored in the positive letter direction;
+            # the move v * letter(-x) = u is recorded with it
+            if v is None or u in moves[x]:
+                continue
+            eid = len(edges)
+            edges.append((u, v) if x > 0 else (v, u))
+            edge_gens[eid] = abs(x) - 1
+            moves[x][u] = eid
+            moves[-x][v] = eid
+    return edges, edge_gens, moves, table.parent, table.letter, table.spheres
+
+
+def trace_cells(
+    relators: Iterable[Word],
+    moves: Mapping[int, Mapping[int, int]],
+    edges: Sequence[tuple[int, int]],
+    starts: Sequence[int],
+) -> list[tuple[Token, ...]]:
+    """The relator cycles from each vertex of ``starts`` whose every move
+    has an edge (``moves[x][u]``: the id of the edge of u*x, stored u->v
+    for x > 0 and v->u for x < 0), one cell per boundary edge set."""
+    cells: list[tuple[Token, ...]] = []
+    seen: set[frozenset[int]] = set()
+    for r in relators:
+        steps = [(moves[x], x < 0) for x in r]
+        for v0 in starts:
+            cur = v0
+            toks: list[Token] = []
+            for step, back in steps:
+                eid = step.get(cur)
+                if eid is None:
+                    break
+                u, v = edges[eid]
+                toks.append((eid, 1 if u == cur else -1))
+                cur = u if back else v
+            else:
+                if cur == v0:
+                    key = frozenset(eid for eid, _ in toks)
+                    if key not in seen:
+                        seen.add(key)
+                        cells.append(tuple(toks))
+    return cells
 
 
 def build_cayley_ball(
@@ -574,62 +648,29 @@ def build_cayley_ball(
     them, cells are relator cycles lying entirely inside the ball.  The
     seed picks the table's quotients, so it never changes the ball.
 
-    Auto-subdivides if any attached cell has odd length.
+    Of the table the ball keeps its shortlex tree, for the labels, and its
+    spheres, for the distances; the table and the move maps are gone
+    before the complex is checked.  Auto-subdivides if any attached cell
+    has odd length.
     """
     if radius < 1:
         raise BadParams("radius must be >= 1")
-    table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
-    edges: list[tuple[int, int]] = []
-    edge_gens: dict[int, int] = {}
-    # letter x -> vertex u -> (vertex u*x, edge id)
-    out_map: dict[int, dict[int, tuple[int, int]]] = {x: {} for x in table.letters}
-    # The last pass (level == radius) makes no element: it only closes edges
-    # among the boundary vertices, and a move that meets no element leaves
-    # the ball.
-    for level in range(radius + 1):
-        for u, x, v in table.walk(make=level < radius):
-            # u * letter(x) = v, stored in the positive letter direction;
-            # the move v * letter(-x) = u is recorded with it
-            if v is None or u in out_map[x]:
-                continue
-            eid = len(edges)
-            edges.append((u, v) if x > 0 else (v, u))
-            edge_gens[eid] = abs(x) - 1
-            out_map[x][u] = (v, eid)
-            out_map[-x][v] = (u, eid)
-
-    # attach relator cells whose whole boundary lies in the ball
-    cells: list[tuple[Token, ...]] = []
-    seen_cells: set[frozenset[int]] = set()
-    for r in p.relators:
-        steps = [out_map[x] for x in r]
-        for v0 in range(len(table.words)):
-            cur = v0
-            toks: list[Token] = []
-            for moves in steps:
-                step = moves.get(cur)
-                if step is None:
-                    break
-                nbr, eid = step
-                toks.append((eid, 1 if edges[eid][0] == cur else -1))
-                cur = nbr
-            else:
-                if cur == v0:
-                    key = frozenset(eid for eid, _ in toks)
-                    if key not in seen_cells:
-                        seen_cells.add(key)
-                        cells.append(tuple(toks))
-
+    edges, edge_gens, moves, parent, letter, spheres = _grow_ball(
+        p, m, radius, vertex_budget=vertex_budget, seed=seed
+    )
+    nv = len(parent)
+    cells = trace_cells(p.relators, moves, edges, range(nv))
+    del moves  # the largest structure left: free it before the adjacency is built
     c = Complex(
         edges,
         cells,
-        len(table.words),
-        vertex_labels=WordLabels(table.words, p.generators),
+        nv,
+        vertex_labels=WordLabels(parent, letter, p.generators),
         edge_gens=edge_gens,
         origin="cayley-ball",
         radius=radius,
         base=0,
-        dist=[len(w) for w in table.words],
+        dist=[k for k in range(len(spheres) - 1) for _ in range(spheres[k], spheres[k + 1])],
         generator_names=p.generators,
     )
     c.validate()

@@ -18,7 +18,7 @@ import os
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, NotSmallCancellation
+from .errors import BadParams, BudgetExceeded, NotSmallCancellation
 from .presentation import Presentation, check_small_cancellation
 from .words import Word, free_reduce, symmetrize
 
@@ -117,7 +117,12 @@ class DehnMachine:
             )
 
     def longest_rewrite_at(self, w: Sequence[int], pos: int) -> tuple[int, Word] | None:
-        """(matched length, replacement) for the longest >half match at pos."""
+        """(matched length, replacement) for the longest >half match at pos.
+
+        Every letter of w must be one of the machine's: a letter beyond
+        the g generators reads another letter's entry of the rows.
+        ``dehn_reduce`` checks this for the words it is given.
+        """
         rows, depth = self._rows, self._depth
         s = best = length = 0
         for i in range(pos, len(w)):
@@ -133,6 +138,7 @@ class DehnMachine:
 
 def dehn_reduce(w: Word, m: DehnMachine) -> Word:
     """Leftmost-longest Dehn reduction; the result has no >half relator subword.
+    A letter outside the presentation's generators raises BadParams.
 
     The freely reduced word is scanned by ``m.automaton()`` from a resume
     point, in state 0; without a hit it is reduced.  A match starting at p
@@ -152,6 +158,9 @@ def dehn_reduce(w: Word, m: DehnMachine) -> Word:
     """
     m._require_ok()
     cur = free_reduce(w)
+    g = len(m.presentation.generators)
+    if cur and (max(cur) > g or min(cur) < -g):
+        raise BadParams(f"word has a letter outside the {g} generators of the presentation")
     delta, hit = m.automaton()
     back = m.max_relator_len // 2
     resume = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from typing import Iterable, Literal
 
 from .complexes import Complex, geodesic_tree
@@ -45,6 +45,10 @@ class WallSystem:
     hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
     _tree: SpanningTree | None = field(default=None, repr=False)
     _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
+    # (carrier edge set, strict) -> (passed, witness) of hypercarrier_check
+    _convexity: dict[tuple[frozenset[int], bool], tuple[bool, tuple[int, int, int] | None]] = field(
+        default_factory=dict, repr=False
+    )
 
     def wall_ids(self) -> list[int]:
         return sorted(self.walls)
@@ -70,7 +74,12 @@ def _opposite_classes(
     c: Complex,
 ) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, int, int], ...]]]:
     """Union opposite edge pairs over every cell: (wall of each edge, edges
-    of each wall, the (cell, e1, e2) pairs realizing each wall)."""
+    of each wall, the (cell, e1, e2) pairs realizing each wall).
+
+    A wall's id is its least edge id, so one stable sort of the edges by
+    wall gives the walls in id order, each with its edges sorted; the same
+    sort of the pairs keeps each wall's pairs in cell order.
+    """
     uf = UnionFind(len(c.edges))
     pair_realizations: list[tuple[int, int, int]] = []
     for cid, cell in enumerate(c.cells):
@@ -80,15 +89,18 @@ def _opposite_classes(
             e2 = cell[i + half][0]
             uf.union(e1, e2)
             pair_realizations.append((cid, e1, e2))
-    members: dict[int, list[int]] = {}
-    for eid in range(len(c.edges)):
-        members.setdefault(uf.find(eid), []).append(eid)
     wall_of_edge = [uf.find(eid) for eid in range(len(c.edges))]
-    walls = {wid: tuple(sorted(m)) for wid, m in members.items()}
-    hyper: dict[int, list[tuple[int, int, int]]] = {wid: [] for wid in walls}
-    for cid, e1, e2 in pair_realizations:
-        hyper[wall_of_edge[e1]].append((cid, e1, e2))
-    return wall_of_edge, walls, {wid: tuple(h) for wid, h in hyper.items()}
+    wall = wall_of_edge.__getitem__
+    walls = {wid: tuple(edge_ids) for wid, edge_ids in groupby(sorted(range(len(c.edges)), key=wall), key=wall)}
+    hyper: dict[int, tuple[tuple[int, int, int], ...]] = dict.fromkeys(walls, ())
+
+    def pair_wall(pair: tuple[int, int, int]) -> int:
+        return wall(pair[1])
+
+    pair_realizations.sort(key=pair_wall)
+    for wid, pairs in groupby(pair_realizations, key=pair_wall):
+        hyper[wid] = tuple(pairs)
+    return wall_of_edge, walls, hyper
 
 
 def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
@@ -199,7 +211,7 @@ def _tree(ws: WallSystem) -> SpanningTree:
     return ws._tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallSplit:
     """The 1-skeleton minus a wall's edges, read off the spanning tree.
 
@@ -402,10 +414,21 @@ def hypercarrier_check(
     inside the carrier; non-strict only that some geodesic does.  Carrier
     vertices are taken in sorted order, each with one BFS that stops once
     every later carrier vertex is reached; the witness is the first failing
-    pair (u, v), u < v, in that order.
+    pair (u, v), u < v, in that order.  The carrier's vertices are the ends
+    of its edges, so the verdict and the witness depend on its edge set
+    alone: walls that share a carrier share one check.
     """
-    c = ws.complex
     carrier_vs, carrier_es = hypercarrier(ws, wid)
+    key = (carrier_es, strict)
+    if key not in ws._convexity:
+        ws._convexity[key] = _convexity(ws.complex, carrier_vs, carrier_es, strict)
+    return ConvexityReport(wid, strict, *ws._convexity[key])
+
+
+def _convexity(
+    c: Complex, carrier_vs: frozenset[int], carrier_es: frozenset[int], strict: bool
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """(passed, witness) of ``hypercarrier_check`` for one carrier."""
     vs = sorted(carrier_vs)
     adj = c.adjacency()
     if not strict:
@@ -420,13 +443,13 @@ def hypercarrier_check(
         if strict:
             bad = next((v for v in later if v in tainted), None)
             if bad is not None:
-                return ConvexityReport(wid, strict, False, (u, bad, _cone_exit(c, carrier_es, u, bad)))
+                return False, (u, bad, _cone_exit(c, carrier_es, u, bad))
         else:
             inner, _ = _geodesic_taint(inner_adj, u, set(later), carrier_es)
             bad = next((v for v in later if inner.get(v) != dist.get(v, -1)), None)
             if bad is not None:
-                return ConvexityReport(wid, strict, False, (u, bad, -1))
-    return ConvexityReport(wid, strict, True, None)
+                return False, (u, bad, -1)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

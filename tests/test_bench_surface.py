@@ -10,9 +10,16 @@ one fails here in seconds rather than in the benchmark run.
 import ast
 import importlib
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from wallkit import complexes as C
+from wallkit import dehn as D
+from wallkit import presentation as P
+from wallkit import separation as S
+from wallkit import walls as W
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -99,3 +106,24 @@ def test_every_binding_hook_names_a_traced_binding():
         assert name in home, name
         target = getattr(importlib.import_module(f"wallkit.{home[name]}"), name)
         assert getattr(importlib.import_module(f"wallkit.{mod}"), name, None) is target, f"{mod}.{name}"
+
+
+def test_result_attributes_the_workloads_read_exist():
+    # The attribute reads on results (not on modules) that the workloads
+    # make, on a radius-4 ball: a renamed field would only fail in the
+    # benchmark run.
+    p = P.gen_example("tv", I={1, 2}, k=7)
+    c = C.build_cayley_ball(p, D.DehnMachine(p), 4)
+    assert (c.nv, len(c.edges), len(c.cells)) == (161, 160, 0)
+    assert c.labeled(c.vertex_labels[7]) == 7
+    assert c.bfs_distances(0) == c.dist
+    ws = W.build_walls(c, settled_policy="all")
+    assert len(ws.walls) == len(c.edges)
+    assert all(ws.hyperedges[wid] == () for wid in ws.wall_ids())
+    assert all(s.two_sided for s in W.two_sidedness_report(ws).values())
+    parity, comps = (W.wall_distance(ws, 0, 7, via=via) for via in ("parity", "components"))
+    assert parity.total == comps.total == c.dist[7]
+    assert C.validity_summary(c, Fraction(1, 6)).ok
+    rep = S.verify_linear_separation(c, ws, Fraction(1, 6), observe=True, max_pairs=50, seed=3)
+    assert rep.pair_count == len(rep.rows) == 50
+    assert all(r.dw <= r.d for r in rep.rows)

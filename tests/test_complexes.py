@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -225,6 +228,78 @@ def test_quotient_union_fits_a_byte_image(make):
         points = len(perms[1])
         assert points <= 27
         assert all(sorted(perm) == list(range(points)) for perm in perms.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quotients_at_k13_move_ab(seed):
+    # (ab)^13 = 1: on 9 points or fewer ab acts trivially, so only the
+    # 13-point quotients split ab from the identity
+    p = gen_example("tv", I={1, 2}, k=13)
+    perms = complexes._find_finite_quotients(p, seed)
+    points = tuple(range(len(perms[1])))
+    assert len(points) <= 256
+    assert complexes._act(perms, Word((1, 2)), points) != points
+
+
+def test_k13_ball_buckets_split_its_vertices(monkeypatch):
+    # with quotients of 9 points at most, every vertex of this ball shared
+    # its bucket key with its ab-translates: 2,850,332 probes and about 15 s
+    p = gen_example("tv", I={1, 2}, k=13)
+    calls = []
+    monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
+    c = build_cayley_ball(p, DehnMachine(p), 8)
+    assert c.nv == 13121 and len(calls) < 100
+
+
+def test_ball_build_memory_is_bounded():
+    # radius-8 tv{1,2} k=7 (13,107 vertices) under tracemalloc: the build
+    # peaks at about 9.0 MiB and the complex holds about 5.4 MiB.  When the
+    # element table and the move maps (a tuple per move) lived until the
+    # adjacency was built and the labels kept every word, these were 13.3
+    # and 6.7 MiB.
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    m.automaton()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        c = build_cayley_ball(p, m, 8)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.nv == 13107
+    assert peak - base < 11 * 2**20, peak - base
+    assert held - base < 6 * 2**20, held - base
+
+
+def test_element_table_dies_before_the_complex_is_checked(monkeypatch):
+    tables = []
+
+    class Table(complexes.ElementTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(weakref.ref(self))
+
+    alive_at_validate = []
+    validate = Complex.validate
+
+    def checked(self):
+        alive_at_validate.append(tables[0]() is not None)
+        return validate(self)
+
+    monkeypatch.setattr(complexes, "ElementTable", Table)
+    monkeypatch.setattr(Complex, "validate", checked)
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    gc.disable()  # reference counting alone must free the table
+    try:
+        c = build_cayley_ball(p, m, 4)
+    finally:
+        gc.enable()
+    assert alive_at_validate == [False]
+    assert c.vertex_labels[c.nv - 1] and c.dist[-1] == 4
 
 
 def test_tv12_ball_validity():

@@ -27,7 +27,7 @@ from wallkit.dehn import (
     shortlex_key,
     shortlex_normal_form,
 )
-from wallkit.errors import BudgetExceeded, NotSmallCancellation
+from wallkit.errors import BadParams, BudgetExceeded, NotSmallCancellation
 from wallkit.presentation import Presentation, check_small_cancellation, gen_example, parse_presentation
 from wallkit.words import Word, cyclic_reduce, free_reduce
 
@@ -367,6 +367,33 @@ def test_reduce_properties_against_oracle(letters):
     # independent free-product normal form)
     assert free_product_trivial(Word(tuple(w) + tuple(r.inverse())), 7)
     assert is_trivial(w, m) == free_product_trivial(w, 7)
+
+
+@pytest.mark.parametrize("letters", [(1, -3) * 4, (3,), (-4, 1, 2), (2, 1, 5)])
+def test_letters_outside_the_generators_are_bad_params(one, letters):
+    # tv{1} has g = 2; a letter of absolute value 3 or more would read
+    # another letter's entry of the rows: (1, -3) * 4 once reduced to
+    # (-2, -1, -2, -1, -2, -1)
+    m = DehnMachine(one)
+    w = Word(letters)
+    for call in (
+        lambda: dehn_reduce(w, m),
+        lambda: is_trivial(w, m),
+        lambda: is_equal(w, Word((1,)), m),
+        lambda: is_equal(Word((1,)), w, m),
+        lambda: shortlex_normal_form(w, m),
+    ):
+        with pytest.raises(BadParams, match="outside the 2 generators"):
+            call()
+    assert m._elements is None  # the check comes before the element table
+
+
+def test_letter_check_follows_free_reduction(one):
+    # a foreign letter that cancels freely is never read
+    m = DehnMachine(one)
+    assert dehn_reduce(Word((3, 1, -1, -3)), m) == Word()
+    assert dehn_reduce(Word((2, 3, -3)), m) == Word((2,))
+    assert is_trivial(Word((-3, 3)), m)
 
 
 def test_is_equal(one, machine):

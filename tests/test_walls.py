@@ -372,8 +372,8 @@ def test_hypercarrier_witness_is_first_failing_pair():
     # an octagon cell with two chords: many carrier pairs have a geodesic
     # through a chord (strict failures), fewer have only such geodesics
     # (non-strict failures); each mode reports its least failing pair
-    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 4), (5, 7)]
-    c = Complex(edges, [tuple((i, 1) for i in range(8))], 8)
+    c = _octagon_with_chords()
+    edges = c.edges
     ws = build_walls(c)
     wid = ws.wall_of_edge[0]
     some, only = [], []
@@ -390,6 +390,38 @@ def test_hypercarrier_witness_is_first_failing_pair():
     assert loose == pairwise_hypercarrier_check(ws, wid, strict=False)
     assert strict.witness[:2] == some[0] and loose.witness == only[0] + (-1,)
     assert (strict.witness, loose.witness) == ((0, 3, 8), (0, 4, -1))
+
+
+def _octagon_with_chords():
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 4), (5, 7)]
+    return Complex(edges, [tuple((i, 1) for i in range(8))], 8)
+
+
+@pytest.mark.parametrize(
+    "make, carriers",
+    [
+        (lambda: build_example1(range(1, 13)), 36),
+        (lambda: build_example2(2, 14), 3),
+        (lambda: build_example2(4, 9), 3),
+        (_octagon_with_chords, 1),
+    ],
+    ids=["theta-1..12", "example2-2-14", "example2-4-9", "octagon-chords"],
+)
+def test_convexity_is_checked_once_per_carrier(make, carriers):
+    # walls that share a carrier share one check; each report equals the
+    # one a fresh wall system gives for that wall alone
+    c = make()
+    ws = build_walls(c)
+    cell_walls = [wid for wid in ws.wall_ids() if ws.hyperedges[wid]]
+    for strict in (True, False):
+        for wid in cell_walls:
+            assert hypercarrier_check(ws, wid, strict=strict) == hypercarrier_check(build_walls(c), wid, strict=strict)
+    assert len(ws._convexity) == 2 * carriers
+    if make is _octagon_with_chords:
+        # four walls, one carrier: the strict failure and its witness repeat
+        reps = [hypercarrier_check(ws, wid, strict=True) for wid in cell_walls]
+        assert [(r.wall, r.passed, r.witness) for r in reps] == [(w, False, (0, 3, 8)) for w in cell_walls]
+        assert len(cell_walls) == 4
 
 
 def test_unknown_wall_id_is_bad_params(ex1):
