@@ -13,7 +13,6 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
@@ -42,7 +41,6 @@ class Complex:
 
     def __post_init__(self):
         self._adj: list[list[tuple[int, int]]] | None = None
-        self._nbrs: list[list[int]] | None = None
 
     # -- structure --------------------------------------------------------
 
@@ -54,12 +52,6 @@ class Complex:
                 adj[v].append((u, eid))
             self._adj = adj
         return self._adj
-
-    def neighbours(self) -> list[list[int]]:
-        """The adjacency lists without their edge ids."""
-        if self._nbrs is None:
-            self._nbrs = [[v for v, _ in a] for a in self.adjacency()]
-        return self._nbrs
 
     def edge_ends(self, token: Token) -> tuple[int, int]:
         eid, d = token
@@ -132,50 +124,56 @@ class Complex:
         return any(len(cell) % 2 for cell in self.cells)
 
 
-def geodesic_tree(c: Complex, q: int, targets: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
-    """The lex-least geodesics from the targets to q, as one tree rooted at
-    q: ``{vertex: [(child, edge id), ...]}``.  Any edge into the level one
-    nearer q keeps a geodesic open and the first edge that differs decides
-    the order, so each vertex descends by its least edge id into that level.
-    The BFS from q, in level sets, stops after the last target's level.
-    BadParams for equal ends, an id outside 0..nv-1 or an unreached target.
-    """
-    adj, nbrs = c.adjacency(), c.neighbours()
-    want = set(targets)
-    for v in (q, *want):
-        if not 0 <= v < c.nv:
-            raise BadParams(f"no vertex {v}: ids run 0..{c.nv - 1}")
-    if q in want:
+def check_geodesic_ends(nv: int, q: int, targets: set[int]) -> None:
+    """BadParams unless q and the targets are ids in 0..nv-1 and q is not
+    a target."""
+    for v in (q, *targets):
+        if not 0 <= v < nv:
+            raise BadParams(f"no vertex {v}: ids run 0..{nv - 1}")
+    if q in targets:
         raise BadParams("geodesic endpoints must differ")
-    # levels[k]: the vertices at distance k from q, up to the last target's
-    # level.  The neighbours of level k lie in levels k - 1, k and k + 1.
-    levels = [{q}]
-    level_of: dict[int, int] = {}
-    left = set(want)
-    prev: set[int] = set()
-    while left:
-        cur = levels[-1]
-        nxt = set(chain.from_iterable(map(nbrs.__getitem__, cur)))
-        nxt.difference_update(cur, prev)
-        if not nxt:
-            raise BadParams(f"vertex {min(left)} is not reached from {q}")
-        if not left.isdisjoint(nxt):
-            found = left & nxt
-            level_of.update(dict.fromkeys(found, len(levels)))
-            left -= found
-        prev = cur
-        levels.append(nxt)
+
+
+def geodesic_tree(
+    adj: Sequence[Sequence[tuple[int, int]]], q: int, targets: Iterable[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """The lex-least geodesics from the targets to q, as one tree rooted at
+    q: ``{vertex: [(child, edge id), ...]}``.  ``adj`` holds each vertex's
+    ``(neighbour, edge id)`` pairs in increasing edge id, as
+    ``Complex.adjacency()`` does.  Any edge into the level one nearer q
+    keeps a geodesic open and the first edge that differs decides the
+    order, so each vertex descends by its least edge id into that level.
+    The BFS from q keeps one distance list and stops once it has reached
+    every target: by then each level nearer q is complete.  BadParams for
+    equal ends, an id outside the graph or an unreached target.
+    """
+    want = set(targets)
+    check_geodesic_ends(len(adj), q, want)
+    dist = [-1] * len(adj)
+    dist[q] = 0
+    order = [q]
+    left = len(want)
+    for u in order:  # a list iterator sees the appends
+        if not left:
+            break
+        du = dist[u] + 1
+        for v, _ in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                order.append(v)
+                if v in want:
+                    left -= 1
+    if left:
+        raise BadParams(f"vertex {min(v for v in want if dist[v] < 0)} is not reached from {q}")
 
     children: dict[int, list[tuple[int, int]]] = {}
     in_tree = {q}
     for v in want:
-        k = level_of[v]
         while v not in in_tree:
             in_tree.add(v)
-            k -= 1
-            below = levels[k]
-            for w, eid in adj[v]:  # adjacency lists run in increasing edge id
-                if w in below:
+            below = dist[v] - 1
+            for w, eid in adj[v]:  # in increasing edge id
+                if dist[w] == below:
                     break
             children.setdefault(w, []).append((v, eid))
             v = w
@@ -184,8 +182,8 @@ def geodesic_tree(c: Complex, q: int, targets: Iterable[int]) -> dict[int, list[
 
 def geodesic(c: Complex, p: int, q: int) -> list[int]:
     """Edge ids of the lexicographically least shortest p->q path: the
-    chain from p in ``geodesic_tree(c, q, (p,))``."""
-    tree = geodesic_tree(c, q, (p,))
+    chain from p in ``geodesic_tree(c.adjacency(), q, (p,))``."""
+    tree = geodesic_tree(c.adjacency(), q, (p,))
     path: list[int] = []
     while q != p:
         ((q, eid),) = tree[q]

@@ -369,7 +369,9 @@ class SeparationReport:
 def sweep_pairs(c: Complex, ws: WallSystem, pairs: Sequence[tuple[int, int]]) -> list[PairRow]:
     """Per-pair geodesic/wall statistics, one row per pair, in order.  Each
     run of consecutive pairs with the same q is one ``geodesic_crossings``
-    call, so pass pairs grouped by q."""
+    call, so pass pairs grouped by q.  A call runs one BFS, over the 2-core
+    of the 1-skeleton, and answers the vertices that hang off the core by
+    their depth."""
     rows: list[PairRow] = []
     ratios: dict[tuple[int, int], Fraction] = {}
     for q, group in groupby(pairs, key=itemgetter(1)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, groupby
 from typing import Iterable, Literal
 
-from .complexes import Complex, geodesic_tree
+from .complexes import Complex, check_geodesic_ends, geodesic_tree
 from .errors import BadParams, OddCell
 
 
@@ -44,6 +44,7 @@ class WallSystem:
     walls: dict[int, tuple[int, ...]]            # wall id -> sorted edge ids
     hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
     _tree: SpanningTree | None = field(default=None, repr=False)
+    _forest: HangingForest | None = field(default=None, repr=False)
     _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
     # (carrier edge set, strict) -> (passed, witness) of hypercarrier_check
     _convexity: dict[tuple[frozenset[int], bool], tuple[bool, tuple[int, int, int] | None]] = field(
@@ -233,10 +234,10 @@ class WallSplit:
         """Side of the vertex with tin pos: the label of the innermost span
         holding pos, 0 outside every span."""
         s = 0
-        it = iter(self.spans)
-        for lo, hi, k in zip(it, it, it):
-            if lo <= pos < hi:
-                s = k  # later spans holding pos are nested deeper
+        spans = self.spans
+        for i in range(0, len(spans), 3):
+            if spans[i] <= pos < spans[i + 1]:
+                s = spans[i + 2]  # later spans holding pos are nested deeper
         return s
 
 
@@ -249,11 +250,13 @@ def _split(ws: WallSystem, wid: int) -> WallSplit:
         return split
     t = _tree(ws)
     edge_ids = _wall_edges(ws, wid)
-    spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
     if len(edge_ids) == 1:
-        if spans and not t.covered[edge_ids[0]]:
-            return WallSplit(2, (*spans[0], 1))
+        (eid,) = edge_ids
+        x = t.tree_child(eid)
+        if x >= 0 and not t.covered[eid]:
+            return WallSplit(2, (t.tin[x], t.tout[x], 1))
         return WallSplit(1)
+    spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
     # number the pieces, 0 for the root's and i for the one below the i-th
     # span, and join them along the non-tree edges the wall keeps
     pieces = WallSplit(len(spans) + 1, tuple(chain.from_iterable((lo, hi, i) for i, (lo, hi) in enumerate(spans, 1))))
@@ -456,54 +459,182 @@ def _convexity(
 # Wall pseudo-metric
 
 
+@dataclass(frozen=True, slots=True)
+class HangingForest:
+    """The vertices that hang off the 2-core by one-edge walls.
+
+    A vertex is peeled while its degree is 1 and its one edge is the only
+    edge of its wall; what is left is the core.  A peeled vertex's
+    ``parent`` is the other end of that edge, and its ``root`` is the core
+    vertex its tree hangs from (a component that is all tree keeps its last
+    vertex as its root); ``depth`` counts the edges up to the root.  A core
+    vertex is its own root at depth 0, with parent -1.  ``core`` is the
+    core's adjacency in increasing edge id, empty at peeled vertices; when
+    nothing is peeled it is the complex's own adjacency.
+    """
+
+    parent: array
+    depth: array
+    root: array
+    core: list[list[tuple[int, int]]]
+
+
+def hanging_forest(ws: WallSystem) -> HangingForest:
+    """Peel the hanging trees off the 1-skeleton.  The wall check matters:
+    a pendant edge whose wall has other edges may be crossed again by a
+    geodesic, so its vertex stays in the core."""
+    c = ws.complex
+    adj = c.adjacency()
+    walls, wall_of_edge = ws.walls, ws.wall_of_edge
+    deg = array("l", map(len, adj))
+    parent = array("l", [-1]) * c.nv
+    peeled_edge = bytearray(len(c.edges))
+    order = array("l")
+    stack = [v for v in range(c.nv) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:  # its last neighbour was peeled before it
+            continue
+        for w, eid in adj[v]:
+            if not peeled_edge[eid]:
+                break
+        if len(walls[wall_of_edge[eid]]) > 1:
+            continue
+        peeled_edge[eid] = 1
+        deg[v] = 0
+        deg[w] -= 1
+        parent[v] = w
+        order.append(v)
+        if deg[w] == 1:
+            stack.append(w)
+    root = array("l", range(c.nv))
+    depth = array("l", [0]) * c.nv
+    for v in reversed(order):  # a parent is peeled after its children
+        p = parent[v]
+        root[v] = root[p]
+        depth[v] = depth[p] + 1
+    if not order:
+        return HangingForest(parent, depth, root, adj)
+    core: list = [[] if root[v] == v else () for v in range(c.nv)]
+    for eid, (u, v) in enumerate(c.edges):
+        if not peeled_edge[eid]:
+            core[u].append((v, eid))
+            core[v].append((u, eid))
+    return HangingForest(parent, depth, root, core)
+
+
+def _forest(ws: WallSystem) -> HangingForest:
+    if ws._forest is None:
+        ws._forest = hanging_forest(ws)
+    return ws._forest
+
+
 @dataclass
 class WallDistance:
     total: int
 
 
 def geodesic_crossings(c: Complex, ws: WallSystem, q: int, targets: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """Crossing statistics of ``geodesic(c, p, q)`` for every target p, from
-    one walk of ``geodesic_tree(c, q, targets)``.
+    """Crossing statistics of ``geodesic(c, p, q)`` for every target p.
 
     Each target maps to ``(d, dw, in_a)``: the path length, the walls
     crossed an odd number of times, and the walls crossed once, each of
     which marks one single-crossing edge (geodesics repeat no edge).
+
+    The hanging forest (``hanging_forest``) reduces the work to the core.
+    Every hanging edge is its own wall and a geodesic crosses it at most
+    once, so each of its edges adds 1 to d, dw and in_a alike.  When p and
+    q hang in one tree, the geodesic is the tree path through their lowest
+    common ancestor.  Otherwise it climbs from p to its root, crosses the
+    core to q's root and descends to q, and the lex-least one is the chain
+    of ``geodesic_tree(core, root(q), ...)`` between the roots: inside a
+    hanging tree the step toward a vertex outside it is forced, and a core
+    vertex's hanging neighbours are never one level nearer a target
+    outside their tree, so the core vertex descends by the edge it takes
+    in the whole complex.  One walk of the core tree from root(q) gives the
+    core's statistics for every root.
     """
     want = set(targets)
-    children = geodesic_tree(c, q, want)
+    check_geodesic_ends(c.nv, q, want)
+    f = _forest(ws)
+    parent, depth, root = f.parent, f.depth, f.root
+    rq = root[q]
+    tops = {root[p] for p in want}
+    tops.discard(rq)
+    try:
+        core = _core_crossings(ws, f.core, rq, tops) if tops else {}
+    except BadParams:  # only a disconnected complex leaves a root unreached
+        dq = c.bfs_distances(q)
+        raise BadParams(f"vertex {min(p for p in want if dq[p] < 0)} is not reached from {q}") from None
+    out: dict[int, tuple[int, int, int]] = {}
+    hq = depth[q]
+    for p in want:
+        rp = root[p]
+        if rp != rq:
+            d, dw, in_a = core[rp]
+            h = depth[p] + hq
+            out[p] = (d + h, dw + h, in_a + h)
+        else:
+            a, b = p, q
+            while depth[a] > depth[b]:
+                a = parent[a]
+            while depth[b] > depth[a]:
+                b = parent[b]
+            while a != b:
+                a, b = parent[a], parent[b]
+            h = depth[p] + hq - 2 * depth[a]
+            out[p] = (h, h, h)
+    return out
 
-    # one walk of the tree from q, with running per-wall crossing counts
+
+def _core_crossings(
+    ws: WallSystem, core: list[list[tuple[int, int]]], q: int, targets: set[int]
+) -> dict[int, tuple[int, int, int]]:
+    """``(d, dw, in_a)`` of the lex-least core geodesic from each target to
+    q, from one walk of their geodesic tree with running per-wall crossing
+    counts."""
+    children = geodesic_tree(core, q, targets)
     wall_of_edge = ws.wall_of_edge
-    count = [0] * len(c.edges)  # per wall id, the least edge id of the wall
+    count = [0] * len(wall_of_edge)  # per wall id, the least edge id of the wall
     out: dict[int, tuple[int, int, int]] = {}
     d = dw = in_a = 0
     stack = list(children.get(q, ()))  # (child, edge id) to enter, (-1, wall) to leave
     while stack:
         v, wid = stack.pop()
+        # entering adds the wall's crossing number k + 1, leaving takes it
+        # away: the wall is crossed once at k = 0 and no longer at k = 1,
+        # and each crossing flips the parity
         if v >= 0:
             wid = wall_of_edge[wid]
             k = count[wid]
             count[wid] = k + 1
             d += 1
-            sign = 1
+            if k == 0:
+                in_a += 1
+                dw += 1
+            elif k == 1:
+                in_a -= 1
+                dw -= 1
+            else:
+                dw += -1 if k & 1 else 1
+            if v in targets:
+                out[v] = (d, dw, in_a)
+            stack.append((-1, wid))
+            kids = children.get(v)
+            if kids:
+                stack.extend(kids)
         else:
             k = count[wid] - 1
             count[wid] = k
             d -= 1
-            sign = -1
-        # add (sign 1) or remove (sign -1) the wall's crossing number k + 1:
-        # it makes the wall crossed once at k = 0 and no longer at k = 1,
-        # and flips the parity of its crossings
-        if k == 0:
-            in_a += sign
-        elif k == 1:
-            in_a -= sign
-        dw += -sign if k & 1 else sign
-        if v >= 0:
-            if v in want:
-                out[v] = (d, dw, in_a)
-            stack.append((-1, wid))
-            stack.extend(children.get(v, ()))
+            if k == 0:
+                in_a -= 1
+                dw -= 1
+            elif k == 1:
+                in_a += 1
+                dw += 1
+            else:
+                dw += 1 if k & 1 else -1
     return out
 
 
@@ -525,7 +656,7 @@ def wall_distance(
     if via == "parity":
         return WallDistance(geodesic_crossings(ws.complex, ws, q, (p,))[p][1])
     total = 0
-    for wid in ws.wall_ids():
+    for wid in ws.walls:
         split = _split(ws, wid)
         total += split.two_sided and split.side(tp) != split.side(tq)
     return WallDistance(total)

@@ -138,6 +138,25 @@ def test_separation_tv_radius8_auto_region(tmp_path):
         assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the files `wallkit separation --family tv --I 1,2 --k 7
+# --radius 8 --region all --max-pairs 5000` writes: a sparse sample of
+# pairs over the whole ball, most of them from different hanging trees
+SPARSE_DIGESTS = {
+    "report.csv": "1cfe7723e5d0b0c4564e8e2432eb7640159a497ff809c7ad8c20ab958c2da917",
+    "summary.json": "a812b549ca66c2fb0c8a8a8b4e8ccea3a90975768ea25b69add6a65a74b766fd",
+}
+
+
+def test_separation_tv_radius8_sparse_sample(tmp_path):
+    rc, out, err = run_cli(
+        "separation", "--family", "tv", "--I", "1,2", "--k", "7", "--radius", "8",
+        "--region", "all", "--max-pairs", "5000", "--out", str(tmp_path),
+    )
+    assert rc == 0, err
+    for name, digest in SPARSE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_intrinsic_sample_builds_walls_once(tmp_path, monkeypatch):
     import wallkit.cli as cli
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -28,7 +29,7 @@ from wallkit.separation import (
     sweep_pairs,
     verify_linear_separation,
 )
-from wallkit.walls import WallSystem, build_walls, wall_distance
+from wallkit.walls import WallSystem, build_walls, hanging_forest, wall_distance
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +125,13 @@ def _example1():
     ],
     ids=["p=-2", "q=-1", "q=nv", "unreachable", "unreachable-reversed"],
 )
-@pytest.mark.parametrize("via", ["geodesic", "geodesic_context"])
+@pytest.mark.parametrize("via", ["geodesic", "geodesic_context", "sweep"])
 def test_geodesic_rejects_ends_outside_the_graph(build, p, q, message, via):
     c, ws = build()
+    call = {"geodesic": geodesic, "geodesic_context": lambda c, p, q: geodesic_context(c, ws, p, q),
+            "sweep": lambda c, p, q: sweep_pairs(c, ws, [(p, q)])}[via]
     with pytest.raises(BadParams, match=message):
-        geodesic(c, p, q) if via == "geodesic" else geodesic_context(c, ws, p, q)
+        call(c, p, q)
 
 
 # -- single-crossing edges -----------------------------------------------------------
@@ -454,7 +457,30 @@ def _example2():
     return c, build_walls(c), range(c.nv)
 
 
-@pytest.mark.parametrize("build", [_margin_ball, _theta_chain, _example2], ids=["margin-ball", "theta", "example2"])
+def _hanging_ball():
+    # the radius-7 tv{1,2} ball: two 14-cells at the base make a 27-vertex
+    # core, and every other vertex hangs off it by one-edge walls.  The
+    # region holds the deepest hanging vertex with its ancestors, vertices
+    # of its depth in the same tree, the core vertices off that tree and a
+    # seeded sample.
+    two = gen_example("tv", I={1, 2}, k=7)
+    c = build_cayley_ball(two, DehnMachine(two), 7)
+    ws = build_walls(c)
+    f = hanging_forest(ws)
+    deep = max(range(c.nv), key=lambda v: (f.depth[v], -v))
+    chain = [deep]
+    while f.parent[chain[-1]] >= 0:
+        chain.append(f.parent[chain[-1]])
+    root = chain[-1]
+    level = [v for v in range(c.nv) if f.root[v] == root and f.depth[v] == f.depth[deep]][:6]
+    core = [v for v in range(c.nv) if f.root[v] == v and v != root]
+    region = {*chain, *level, *core, *random.Random(7).sample(range(c.nv), 40)}
+    return c, ws, sorted(region)
+
+
+@pytest.mark.parametrize(
+    "build", [_margin_ball, _theta_chain, _example2, _hanging_ball], ids=["margin-ball", "theta", "example2", "hanging"]
+)
 def test_sweep_matches_per_pair_oracle(build):
     c, ws, region = build()
     pairs = _grouped_pairs(region)
@@ -462,6 +488,90 @@ def test_sweep_matches_per_pair_oracle(build):
     assert rows == per_pair_sweep(c, ws, pairs)
     if build is _margin_ball:
         assert any(c.dist[r.p] == c.radius or c.dist[r.q] == c.radius for r in rows)
+
+
+def _ancestors(f, v):
+    out = []
+    while v >= 0:
+        out.append(v)
+        v = f.parent[v]
+    return out
+
+
+def test_hanging_ball_region_covers_every_case():
+    c, ws, region = _hanging_ball()
+    f = hanging_forest(ws)
+    assert sum(f.root[v] == v for v in range(c.nv)) == 27 and max(f.depth) == 6
+    same_tree = [(p, q) for p, q in itertools.combinations(region, 2) if f.root[p] == f.root[q]]
+    # ancestor-descendant pairs, pairs meeting below their root and at it
+    assert any(p in _ancestors(f, q) or q in _ancestors(f, p) for p, q in same_tree)
+    meets = {next(a for a in _ancestors(f, p) if a in _ancestors(f, q)) for p, q in same_tree}
+    assert any(f.root[a] != a for a in meets) and any(f.root[a] == a for a in meets)
+    # a root that other region vertices hang from, and a core vertex that
+    # nothing hangs from
+    assert any(f.root[u] in region and f.root[u] != u for u in region)
+    hung = set(f.parent)
+    assert any(f.root[v] == v and v not in hung for v in region)
+
+
+def test_parity_wall_distance_matches_components_on_hanging_ball():
+    c, ws, _ = _hanging_ball()
+    rng = random.Random(22)
+    for _ in range(200):
+        p, q = rng.sample(range(c.nv), 2)
+        assert wall_distance(ws, p, q) == wall_distance(ws, p, q, via="components"), (p, q)
+
+
+def test_margin_ball_forest_has_one_root():
+    # a ball with no cell is all tree, so everything hangs off one vertex
+    c, ws, _ = _margin_ball()
+    f = hanging_forest(ws)
+    (root,) = {f.root[v] for v in range(c.nv)}
+    assert f.depth[root] == 0 and f.parent[root] == -1
+    assert f.core[root] == [] and all(not adj for adj in f.core)
+
+
+def _pendant_cell():
+    """An 8-cycle cell 0..7 with a pendant tree at vertex 0 (the path 10,
+    9, 8 and the leaf 13 on 10) and a pendant path at vertex 4 (12, 11),
+    opposite it; a child's id is below its parent's.  The core
+    geodesics between 0 and 4 tie: from 0 the least edge goes through 1,
+    where wall 0 takes edges (0,1), (1,2) and (2,3); from 4 it goes through
+    5, where every edge is its own wall."""
+    edges = [
+        (0, 1), (4, 12), (5, 4), (1, 2), (0, 10), (6, 5), (2, 3),
+        (7, 6), (12, 11), (3, 4), (10, 9), (0, 7), (9, 8), (10, 13),
+    ]
+    eid = {frozenset(e): i for i, e in enumerate(edges)}
+    ring = list(range(8))
+    cell = tuple(
+        (eid[frozenset((u, v))], 1 if edges[eid[frozenset((u, v))]] == (u, v) else -1)
+        for u, v in zip(ring, ring[1:] + ring[:1])
+    )
+    c = Complex(edges, [cell], 14)
+    wall_of_edge = [0 if i in (0, 3, 6) else i for i in range(len(edges))]
+    walls = {0: (0, 3, 6), **{i: (i,) for i in range(len(edges)) if i not in (0, 3, 6)}}
+    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls})
+
+
+def test_sweep_on_a_cell_with_pendant_trees():
+    c, ws = _pendant_cell()
+    f = hanging_forest(ws)
+    assert [f.root[v] for v in (8, 9, 10, 13, 11, 12)] == [0, 0, 0, 0, 4, 4]
+    assert [f.depth[v] for v in (8, 9, 10, 13, 11, 12)] == [3, 2, 1, 2, 2, 1]
+    assert all(f.root[v] == v for v in range(8))
+    pairs = _grouped_pairs(range(c.nv))
+    rows = sweep_pairs(c, ws, pairs)
+    assert rows == per_pair_sweep(c, ws, pairs)
+    by_pair = {(r.p, r.q): (r.d, r.dw, r.in_a_count) for r in rows}
+    # 8 -> 9 -> 10 -> 0 -> 1 -> 2 -> 3 -> 4 -> 12 -> 11 crosses wall 0 three times
+    assert by_pair[8, 11] == (9, 7, 6)
+    # 11 -> 12 -> 4 -> 5 -> 6 -> 7 -> 0 -> 10 -> 13 crosses eight walls once
+    assert by_pair[11, 13] == (8, 8, 8)
+    # inside one tree: the tree path through the lowest common ancestor,
+    # which is q itself in (8, 9) and (9, 10)
+    assert by_pair[8, 13] == (3, 3, 3)
+    assert by_pair[8, 9] == by_pair[9, 10] == (1, 1, 1) and by_pair[8, 10] == (2, 2, 2)
 
 
 def _crossing_path():
@@ -478,6 +588,11 @@ def _crossing_path():
 
 def test_sweep_counts_walls_crossed_three_and_four_times():
     c, ws = _crossing_path()
+    # the path is a tree, but its end edges lie in walls with other edges,
+    # so a geodesic may cross their walls again and nothing is peeled
+    f = hanging_forest(ws)
+    assert list(f.root) == list(range(c.nv)) and not any(f.depth)
+    assert f.core is c.adjacency()
     pairs = _grouped_pairs(range(c.nv))
     rows = sweep_pairs(c, ws, pairs)
     assert rows == per_pair_sweep(c, ws, pairs)

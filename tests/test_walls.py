@@ -446,6 +446,23 @@ def test_unknown_wall_id_is_bad_params(ex1):
             call()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_example1(range(1, 6)), lambda: build_example2(2, 14), lambda: _tv12_ball(6)],
+    ids=["theta", "example2", "ball6"],
+)
+def test_split_side_matches_wall_sides(build):
+    c = build()
+    ws = build_walls(c)
+    tin = ws._tree.tin
+    splits = two_sidedness_report(ws)
+    for wid in ws.wall_ids():
+        near, far = wall_sides(ws, wid)
+        side = splits[wid].side
+        assert [side(tin[v]) for v in range(c.nv)] == [v in far for v in range(c.nv)], wid
+        assert near | far == frozenset(range(c.nv))
+
+
 # -- wall pseudo-metric ------------------------------------------------------------
 
 
