@@ -438,6 +438,11 @@ class ElementTable:
     The quotient image is a ``bytes`` of the points' images, stepped by x
     with one ``translate`` through x's 256-byte table; the abelian residue
     is stepped through a per-letter memo, so elements share residue tuples.
+
+    The ids that share a key form a ring in ``chain``: ``buckets`` maps the
+    key to its last id, and ``chain[v]`` is the next id after v, the first
+    after the last.  A new id joins at the end in O(1), and ``bucket``
+    reads the ring in ascending order, so probes go oldest first.
     """
 
     def __init__(self, p: Presentation, m: DehnMachine, *, vertex_budget: int, seed: int = 0):
@@ -460,7 +465,8 @@ class ElementTable:
         self.state = array("l", [0])
         # bucket key: (image of the quotients' points, abelian residue)
         self.keys: list[tuple[bytes, tuple]] = [(bytes(range(points)), (0,) * g)]
-        self.buckets: dict[tuple[bytes, tuple], list[int]] = {self.keys[0]: [0]}
+        self.buckets: dict[tuple[bytes, tuple], int] = {self.keys[0]: 0}
+        self.chain = array("l", [0])
         self.spheres = [0, 1]
 
     def _residue_step(self, x: int, residue: tuple) -> tuple:
@@ -472,6 +478,18 @@ class ElementTable:
             nxt = self.ab_step[x][residue] = _ab_residue(ab, self.ab_basis)
         return nxt
 
+    def bucket(self, key: tuple[bytes, tuple]) -> Iterator[int]:
+        """The ids whose key is ``key``, in ascending order."""
+        last = self.buckets.get(key)
+        if last is None:
+            return
+        v, chain = last, self.chain
+        while True:
+            v = chain[v]
+            yield v
+            if v == last:
+                return
+
     def walk(self, make: bool = True) -> Iterator[tuple[int, int, int | None]]:
         """Yield ``(u, x, v)``, v the element of u*x, for each move out of
         the outermost whole sphere in shortlex order, but the one back along
@@ -479,7 +497,7 @@ class ElementTable:
         is None), and the walk closes the next sphere when it ends."""
         m, hit, relators, tabs, ab_step = self.m, self.hit, self.p.relators, self.tabs, self.ab_step
         words, vid_of, state, keys, buckets = self.words, self.vid_of, self.state, self.keys, self.buckets
-        parent, letter = self.parent, self.letter
+        parent, letter, chain = self.parent, self.letter, self.chain
         trusted = Word._trusted
         for u in range(self.spheres[-2], self.spheres[-1]):
             wu = words[u]
@@ -494,7 +512,7 @@ class ElementTable:
                 reduced = dehn_reduce(trusted(cand), m) if hit[s] else cand
                 v = vid_of.get(reduced)
                 if v is None and relators:
-                    for b in buckets.get(key, ()):
+                    for b in self.bucket(key):
                         if is_trivial(reduced + words[b].inverse(), m):
                             v = b
                             break
@@ -511,7 +529,13 @@ class ElementTable:
                     letter.append(x)
                     state.append(s)
                     keys.append(key)
-                    buckets.setdefault(key, []).append(v)
+                    last = buckets.get(key)
+                    if last is None:
+                        chain.append(v)
+                    else:
+                        chain.append(chain[last])
+                        chain[last] = v
+                    buckets[key] = v
                 yield u, x, v
         if make:
             self.spheres.append(len(words))
@@ -533,7 +557,7 @@ class ElementTable:
         if w in self.vid_of:
             return self.vid_of[w]
         key = self.key(w)
-        for v in self.buckets.get(key, ()):
+        for v in self.bucket(key):
             if is_trivial(w + self.words[v].inverse(), self.m):
                 return v
         made = len(self.words)

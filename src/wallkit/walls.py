@@ -11,9 +11,10 @@ complexes.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby
-from typing import Iterable, Literal
+from itertools import accumulate, chain, compress, groupby
+from typing import Iterable, Iterator, Literal
 
 from .complexes import Complex, check_geodesic_ends, geodesic_tree
 from .errors import BadParams, OddCell
@@ -37,12 +38,74 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+class WallPartition(Mapping):
+    """Wall id -> its sorted edge ids, kept in arrays: ``order`` is the edge
+    ids sorted by wall, and wall w's edges are ``order[offsets[w]:offsets[w
+    + 1]]``.  A wall's id is its least edge id, so ``offsets`` and the
+    ``is_wall`` flags are indexed by edge id.  ``[w]`` makes the tuple;
+    ``size`` reads a wall's size off the offsets.
+    """
+
+    def __init__(self, wall_of_edge: array):
+        counts = array("l", [0]) * (len(wall_of_edge) + 1)
+        for w in wall_of_edge:
+            counts[w + 1] += 1
+        self.wall_of_edge = wall_of_edge
+        self.order = array("l", sorted(range(len(wall_of_edge)), key=wall_of_edge.__getitem__))
+        self.offsets = array("l", accumulate(counts))
+        self.is_wall = bytearray(map(bool, counts[1:]))
+        self._len = self.is_wall.count(1)
+
+    def size(self, wid: int) -> int:
+        """The number of edges of wall wid, 0 for an edge id that is no wall id."""
+        return self.offsets[wid + 1] - self.offsets[wid]
+
+    def __contains__(self, wid: object) -> bool:
+        return isinstance(wid, int) and 0 <= wid < len(self.is_wall) and self.is_wall[wid] == 1
+
+    def __getitem__(self, wid: int) -> tuple[int, ...]:
+        if wid not in self:
+            raise KeyError(wid)
+        return tuple(self.order[self.offsets[wid]:self.offsets[wid + 1]])
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(len(self.is_wall)), self.is_wall)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+class WallPairs(Mapping):
+    """Wall id -> the (cell, e1, e2) pairs realizing the wall, in cell
+    order.  Only the walls that have pairs are stored; any other wall id
+    answers ``()``, and an id that names no wall raises KeyError."""
+
+    def __init__(self, walls: WallPartition, pairs: dict[int, tuple[tuple[int, int, int], ...]]):
+        self.walls, self.pairs = walls, pairs
+
+    def __getitem__(self, wid: int) -> tuple[tuple[int, int, int], ...]:
+        if wid not in self.walls:
+            raise KeyError(wid)
+        return self.pairs.get(wid, ())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.walls)
+
+    def __len__(self) -> int:
+        return len(self.walls)
+
+
 @dataclass
 class WallSystem:
+    """The walls of a complex.  A system built by hand may pass a plain
+    list and dicts; its partition is then stored as ``build_walls`` stores
+    it, and must agree with ``wall_of_edge``.  ``hyperedges`` is read as
+    given."""
+
     complex: Complex
-    wall_of_edge: list[int]                      # eid -> wall id (min edge id in class)
-    walls: dict[int, tuple[int, ...]]            # wall id -> sorted edge ids
-    hyperedges: dict[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
+    wall_of_edge: array                          # eid -> wall id (min edge id in class)
+    walls: WallPartition                         # wall id -> sorted edge ids
+    hyperedges: Mapping[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
     _tree: SpanningTree | None = field(default=None, repr=False)
     _forest: HangingForest | None = field(default=None, repr=False)
     _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
@@ -51,8 +114,15 @@ class WallSystem:
         default_factory=dict, repr=False
     )
 
+    def __post_init__(self):
+        if not isinstance(self.walls, WallPartition):
+            walls = WallPartition(array("l", self.wall_of_edge))
+            if walls != self.walls or any(walls[w][0] != w for w in walls):
+                raise BadParams("walls must group the edges by wall_of_edge, each under its least edge id")
+            self.wall_of_edge, self.walls = walls.wall_of_edge, walls
+
     def wall_ids(self) -> list[int]:
-        return sorted(self.walls)
+        return list(self.walls)
 
 
 def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
@@ -60,6 +130,12 @@ def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
     if edge_ids is None:
         raise BadParams(f"no wall {wid}")
     return edge_ids
+
+
+def _wall_size(ws: WallSystem, wid: int) -> int:
+    if wid not in ws.walls:
+        raise BadParams(f"no wall {wid}")
+    return ws.walls.size(wid)
 
 
 def _tin(ws: WallSystem, v: int) -> int:
@@ -71,16 +147,10 @@ def _tin(ws: WallSystem, v: int) -> int:
     return t.tin[v]
 
 
-def _opposite_classes(
-    c: Complex,
-) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, int, int], ...]]]:
-    """Union opposite edge pairs over every cell: (wall of each edge, edges
-    of each wall, the (cell, e1, e2) pairs realizing each wall).
-
-    A wall's id is its least edge id, so one stable sort of the edges by
-    wall gives the walls in id order, each with its edges sorted; the same
-    sort of the pairs keeps each wall's pairs in cell order.
-    """
+def _opposite_classes(c: Complex) -> tuple[WallPartition, WallPairs]:
+    """Union opposite edge pairs over every cell: the walls, and the (cell,
+    e1, e2) pairs realizing each wall.  One stable sort of the pairs by wall
+    keeps each wall's pairs in cell order."""
     uf = UnionFind(len(c.edges))
     pair_realizations: list[tuple[int, int, int]] = []
     for cid, cell in enumerate(c.cells):
@@ -90,18 +160,15 @@ def _opposite_classes(
             e2 = cell[i + half][0]
             uf.union(e1, e2)
             pair_realizations.append((cid, e1, e2))
-    wall_of_edge = [uf.find(eid) for eid in range(len(c.edges))]
-    wall = wall_of_edge.__getitem__
-    walls = {wid: tuple(edge_ids) for wid, edge_ids in groupby(sorted(range(len(c.edges)), key=wall), key=wall)}
-    hyper: dict[int, tuple[tuple[int, int, int], ...]] = dict.fromkeys(walls, ())
+    walls = WallPartition(array("l", map(uf.find, range(len(c.edges)))))
+    wall = walls.wall_of_edge.__getitem__
 
     def pair_wall(pair: tuple[int, int, int]) -> int:
         return wall(pair[1])
 
     pair_realizations.sort(key=pair_wall)
-    for wid, pairs in groupby(pair_realizations, key=pair_wall):
-        hyper[wid] = tuple(pairs)
-    return wall_of_edge, walls, hyper
+    pairs = {wid: tuple(group) for wid, group in groupby(pair_realizations, key=pair_wall)}
+    return walls, WallPairs(walls, pairs)
 
 
 def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
@@ -116,10 +183,10 @@ def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
     for cell in c.cells:
         if len(cell) % 2:
             raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
-    wall_of_edge, walls, hyper = _opposite_classes(c)
+    walls, pairs = _opposite_classes(c)
     # built once the partition's temporaries are gone, to keep the peak down
     tree = spanning_tree(c)
-    return WallSystem(c, wall_of_edge, walls, hyper, tree)
+    return WallSystem(c, walls.wall_of_edge, walls, pairs, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +309,20 @@ class WallSplit:
 
 
 def _split(ws: WallSystem, wid: int) -> WallSplit:
-    """The wall's split, cached for multi-edge walls.  A one-edge wall
-    separates iff its edge is a bridge, an O(1) test that is not worth a
-    cache entry on a ball with tens of thousands of such walls."""
+    """The split of wall wid, which the caller has checked, cached for
+    multi-edge walls.  A one-edge wall separates iff its edge is a bridge,
+    an O(1) test that is not worth a cache entry on a ball with tens of
+    thousands of such walls."""
     split = ws._splits.get(wid)
     if split is not None:
         return split
     t = _tree(ws)
-    edge_ids = _wall_edges(ws, wid)
-    if len(edge_ids) == 1:
-        (eid,) = edge_ids
-        x = t.tree_child(eid)
-        if x >= 0 and not t.covered[eid]:
+    if ws.walls.size(wid) == 1:
+        x = t.tree_child(wid)  # a one-edge wall's id is its edge
+        if x >= 0 and not t.covered[wid]:
             return WallSplit(2, (t.tin[x], t.tout[x], 1))
         return WallSplit(1)
+    edge_ids = ws.walls[wid]
     spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
     # number the pieces, 0 for the root's and i for the one below the i-th
     # span, and join them along the non-tree edges the wall keeps
@@ -279,7 +346,9 @@ def wall_sides(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[int]
     """The two components of the 1-skeleton after deleting the wall's open
     edges, the one holding vertex 0 first; None when the wall is not
     two-sided."""
-    t, split = _tree(ws), _split(ws, wid)
+    t = _tree(ws)
+    _wall_size(ws, wid)
+    split = _split(ws, wid)
     if not split.two_sided:
         return None
     # paint each span with its side, outer spans first so that the spans
@@ -292,13 +361,39 @@ def wall_sides(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[int]
     return frozenset(t.pre) - far, far
 
 
-def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> dict[int, WallSplit]:
+class SplitReport(Mapping):
+    """Wall id -> WallSplit over the requested walls, in wall-id order.
+    Each split is made when it is read (multi-edge splits are cached in the
+    wall system), so the report holds no object per wall."""
+
+    def __init__(self, ws: WallSystem, wall_ids: Mapping[int, object]):
+        self._ws, self._ids = ws, wall_ids
+
+    def __getitem__(self, wid: int) -> WallSplit:
+        if wid not in self._ids:
+            raise KeyError(wid)
+        return _split(self._ws, wid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> SplitReport:
     """Batch two-sidedness from the wall system's spanning tree: a one-edge
     wall separates iff its edge is a bridge, and a larger wall's component
     count joins the tree pieces its tree edges cut off along the non-tree
-    edges it keeps."""
+    edges it keeps.  Every requested id is checked here; the splits are
+    made as the report is read."""
     _tree(ws)  # a disconnected 1-skeleton raises even when there is no wall
-    return {wid: _split(ws, wid) for wid in (ws.wall_ids() if wall_ids is None else wall_ids)}
+    if wall_ids is None:
+        return SplitReport(ws, ws.walls)
+    ids = dict.fromkeys(sorted(set(wall_ids)))
+    for wid in ids:
+        _wall_size(ws, wid)
+    return SplitReport(ws, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +580,7 @@ def hanging_forest(ws: WallSystem) -> HangingForest:
     geodesic, so its vertex stays in the core."""
     c = ws.complex
     adj = c.adjacency()
-    walls, wall_of_edge = ws.walls, ws.wall_of_edge
+    size, wall_of_edge = ws.walls.size, ws.wall_of_edge
     deg = array("l", map(len, adj))
     parent = array("l", [-1]) * c.nv
     peeled_edge = bytearray(len(c.edges))
@@ -498,7 +593,7 @@ def hanging_forest(ws: WallSystem) -> HangingForest:
         for w, eid in adj[v]:
             if not peeled_edge[eid]:
                 break
-        if len(walls[wall_of_edge[eid]]) > 1:
+        if size(wall_of_edge[eid]) > 1:
             continue
         peeled_edge[eid] = 1
         deg[v] = 0
@@ -655,17 +750,37 @@ def wall_distance(
         return WallDistance(0)
     if via == "parity":
         return WallDistance(geodesic_crossings(ws.complex, ws, q, (p,))[p][1])
+    t, size, splits = _tree(ws), ws.walls.size, ws._splits
     total = 0
     for wid in ws.walls:
-        split = _split(ws, wid)
+        split = splits.get(wid)
+        if split is None:
+            if size(wid) == 1:
+                total += _bridge_separates(t, wid, tp, tq) is True
+                continue
+            split = _split(ws, wid)
         total += split.two_sided and split.side(tp) != split.side(tq)
     return WallDistance(total)
 
 
+def _bridge_separates(t: SpanningTree, eid: int, tp: int, tq: int) -> bool | None:
+    """Whether deleting edge eid parts the vertices at tin tp and tq; None
+    unless the edge is a bridge, a tree edge on no non-tree edge's cycle."""
+    x = t.tree_child(eid)
+    if x < 0 or t.covered[eid]:
+        return None
+    lo, hi = t.tin[x], t.tout[x]
+    return (lo <= tp < hi) != (lo <= tq < hi)
+
+
 def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
     """Side comparison for one wall; None when the wall is not two-sided."""
-    split = _split(ws, wid)
+    t = _tree(ws)
+    one_edge = _wall_size(ws, wid) == 1
     tp, tq = _tin(ws, p), _tin(ws, q)
+    if one_edge:
+        return _bridge_separates(t, wid, tp, tq)
+    split = _split(ws, wid)
     if not split.two_sided:
         return None
     return split.side(tp) != split.side(tq)

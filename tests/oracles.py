@@ -437,6 +437,42 @@ def gf2_rank_sorted(masks) -> int:
 # -- walls -----------------------------------------------------------------------
 
 
+def group_walls(c) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, int, int], ...]]]:
+    """The walls of c by plain grouping: link the opposite edges of every
+    cell, take the classes by BFS from each unplaced edge in id order (so a
+    class is named by its least edge), and list each wall's (cell, e1, e2)
+    pairs in cell order, () for a wall with none.  Both dicts are in wall-id
+    order."""
+    links: list[list[int]] = [[] for _ in c.edges]
+    pairs = []
+    for cid, cell in enumerate(c.cells):
+        half = len(cell) // 2
+        for i in range(half):
+            e1, e2 = cell[i][0], cell[i + half][0]
+            links[e1].append(e2)
+            links[e2].append(e1)
+            pairs.append((cid, e1, e2))
+    wall_of = [-1] * len(c.edges)
+    walls: dict[int, list[int]] = {}
+    for start in range(len(c.edges)):
+        if wall_of[start] >= 0:
+            continue
+        wall_of[start] = start
+        members = [start]
+        q = deque([start])
+        while q:
+            for f in links[q.popleft()]:
+                if wall_of[f] < 0:
+                    wall_of[f] = start
+                    members.append(f)
+                    q.append(f)
+        walls[start] = members
+    hyper: dict[int, list] = {wid: [] for wid in walls}
+    for pair in pairs:
+        hyper[wall_of[pair[1]]].append(pair)
+    return {w: tuple(sorted(es)) for w, es in walls.items()}, {w: tuple(ps) for w, ps in hyper.items()}
+
+
 def component_labels(c, removed: frozenset[int]) -> tuple[list[int], int]:
     """Component label of each vertex of the 1-skeleton minus the edges in
     removed, numbered by least vertex, and the number of components (one

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf, gf2_rank_sorted
+from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf, gf2_rank_sorted, shortlex_search
 from wallkit import complexes
 from wallkit.complexes import (
     Complex,
@@ -24,8 +24,8 @@ from wallkit.complexes import (
     subdivide,
     validity_summary,
 )
-from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words
-from wallkit.errors import BadParams, NotSmallCancellation, ParseError
+from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words, shortlex_key
+from wallkit.errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
 from wallkit.presentation import Presentation, gen_example, parse_presentation
 from wallkit.words import Word, render, symmetrize
 
@@ -249,6 +249,43 @@ def test_k13_ball_buckets_split_its_vertices(monkeypatch):
     monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
     c = build_cayley_ball(p, DehnMachine(p), 8)
     assert c.nv == 13121 and len(calls) < 100
+
+
+def _no_quotients(p, seed):
+    return {s * (gi + 1): () for gi in range(len(p.generators)) for s in (1, -1)}
+
+
+def test_bucket_chains_under_forced_collisions(monkeypatch):
+    # With no quotient points a key is the abelian class alone, so each
+    # bucket chains many ids.  The ball keeps its bytes, each chain reads
+    # its ids in ascending order, and an index() cut by the vertex budget
+    # finds its element when the next growth walks the sphere again.
+    p = gen_example("tv", I={1}, k=7)
+    want = save_complex(build_cayley_ball(p, DehnMachine(p), 7))
+    calls = []
+    monkeypatch.setattr(complexes, "_find_finite_quotients", _no_quotients)
+    monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
+    assert save_complex(build_cayley_ball(p, DehnMachine(p), 7)) == want
+    assert len(calls) > 1000
+
+    m = DehnMachine(p)
+    table = complexes.ElementTable(p, m, vertex_budget=60, seed=0)
+    # two geodesics of one element: (ab)^3 a = (b^-1 a^-1)^3 b^-1 by (ab)^7 = 1
+    w, w2 = Word((-2, -1) * 3 + (-2,)), Word((1, 2) * 3 + (1,))
+    with pytest.raises(BudgetExceeded):
+        table.index(w)
+    assert len(table.words) == 60
+    table.vertex_budget = 100_000
+    v = table.index(w)
+    del calls[:]
+    assert table.index(w) == table.index(w2) == v and calls  # w by a bucket probe
+    assert table.words[v] == shortlex_search(w, DehnMachine(p)) == min(w, w2, key=shortlex_key)
+    assert len(set(table.words)) == len(table.words)
+    by_key: dict = {}
+    for u, key in enumerate(table.keys):
+        by_key.setdefault(key, []).append(u)
+    assert max(map(len, by_key.values())) > 10
+    assert {key: list(table.bucket(key)) for key in table.buckets} == by_key
 
 
 def test_ball_build_memory_is_bounded():

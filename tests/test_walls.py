@@ -1,12 +1,14 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bridges, component_labels, pairwise_hypercarrier_check
+from oracles import bridges, component_labels, group_walls, pairwise_hypercarrier_check
 from wallkit.complexes import (
     Complex,
     build_cayley_ball,
@@ -21,6 +23,7 @@ from wallkit.presentation import gen_example
 from wallkit.walls import (
     WallDistance,
     WallSystem,
+    _split,
     build_walls,
     dump_walls,
     hypercarrier,
@@ -102,6 +105,39 @@ def test_wall_ids_are_min_edge_ids(ex1):
         assert wid == min(eids)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_example1(range(1, 6)), lambda: build_example2(2, 14), lambda: _tv12_ball(6)],
+    ids=["theta", "example2", "ball6"],
+)
+def test_walls_and_hyperedges_match_grouping_oracle(build):
+    c = build()
+    ws = build_walls(c)
+    walls, hyper = group_walls(c)
+    assert len(ws.walls) == len(ws.hyperedges) == len(walls)
+    assert list(ws.walls) == list(ws.hyperedges) == ws.wall_ids() == list(walls)
+    assert dict(ws.walls.items()) == walls
+    assert dict(ws.hyperedges.items()) == hyper
+    assert list(ws.wall_of_edge) == [next(w for w, es in walls.items() if e in es) for e in range(len(c.edges))]
+    bare = [w for w in walls if not hyper[w]]
+    assert all(ws.hyperedges[w] == () for w in bare)
+    # an id that names no wall: an edge in a larger wall, out of range, not an int
+    for key in [e for e in range(len(c.edges)) if e not in walls] + [-1, len(c.edges), 10**6, "0"]:
+        assert key not in ws.walls and key not in ws.hyperedges
+        for mapping in (ws.walls, ws.hyperedges):
+            with pytest.raises(KeyError):
+                mapping[key]
+
+
+def test_hand_built_walls_must_match_wall_of_edge():
+    c = Complex([(0, 1), (1, 2), (2, 3)], [], 4)
+    ws = WallSystem(c, [0, 0, 2], {0: (0, 1), 2: (2,)}, {0: (), 2: ()})
+    assert dict(ws.walls) == {0: (0, 1), 2: (2,)} and list(ws.wall_of_edge) == [0, 0, 2]
+    for wall_of_edge, walls in (([0, 0, 2], {0: (0,), 1: (1,), 2: (2,)}), ([1, 1, 2], {1: (0, 1), 2: (2,)})):
+        with pytest.raises(BadParams, match="least edge id"):
+            WallSystem(c, wall_of_edge, walls, dict.fromkeys(walls, ()))
+
+
 def test_example1_wall_structure(ex1):
     # derived by hand on the two 10-gons: six 2-edge walls pairing the two
     # length-3 segments with the long outer arcs, and two 3-edge walls that
@@ -126,6 +162,51 @@ def test_tree_edge_two_sides(tree):
     assert two_sidedness_report(ws)[wid].two_sided
     a, b = wall_sides(ws, wid)
     assert len(a) + len(b) == tree.nv and not (a & b)
+
+
+def test_two_sidedness_report_is_a_mapping_view():
+    c = _tv12_ball(7)
+    ws = build_walls(c)
+    rep = two_sidedness_report(ws)
+    wids = ws.wall_ids()
+    assert len(rep) == len(wids) and list(rep) == wids == sorted(wids)
+    assert list(rep.values()) == [_split(ws, w) for w in wids]
+    assert all(rep[w] == _split(ws, w) for w in wids)
+    multi = [w for w in wids if len(ws.walls[w]) > 1]
+    assert multi and all(rep[w] is ws._splits[w] for w in multi)
+    for key in (-1, 1 + max(wids), ws.walls[multi[0]][1]):
+        assert key not in rep
+        with pytest.raises(KeyError):
+            rep[key]
+    # requested ids come back once each, in wall-id order, and only they
+    sub = two_sidedness_report(ws, [wids[5], wids[2], wids[5]])
+    assert list(sub) == [wids[2], wids[5]] and len(sub) == 2
+    assert dict(sub.items()) == {w: rep[w] for w in (wids[2], wids[5])}
+    with pytest.raises(KeyError):
+        sub[wids[3]]
+    # an unknown id fails at the call, before anything is read
+    with pytest.raises(BadParams, match="no wall 1000000"):
+        two_sidedness_report(ws, iter([wids[0], 10**6]))
+
+
+def test_wall_system_holds_no_object_per_wall():
+    # radius-7 tv{1,2} ball (4,371 edges, 4,358 walls) under tracemalloc:
+    # build_walls plus the two-sidedness report hold about 0.25 MiB, nearly
+    # all of it the spanning tree's arrays.  With a tuple per wall in a dict
+    # and a WallSplit per wall in the report they held 1.77 MiB.
+    c = _tv12_ball(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        ws = build_walls(c)
+        rep = two_sidedness_report(ws)
+        assert sum(s.two_sided for s in rep.values()) == len(ws.walls) == 4358
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - base < 0.5 * 2**20, held - base
 
 
 def test_all_walls_two_sided_on_fixtures(ball7, ex1):
