@@ -356,7 +356,7 @@ class PairRow:
 class SeparationReport:
     lam: Fraction
     constant: Fraction
-    rows: list[PairRow]
+    rows: list[PairRow]  # sorted by (p, q)
     min_ratio: Fraction | None
     mean_ratio: Fraction | None
     pair_count: int
@@ -464,7 +464,7 @@ def verify_linear_separation(
 
 def report_to_csv(report: SeparationReport) -> str:
     lines = ["p,q,d,dw,ratio_num,ratio_den,in_A_count"]
-    for r in sorted(report.rows, key=lambda r: (r.p, r.q)):
+    for r in report.rows:
         lines.append(f"{r.p},{r.q},{r.d},{r.dw},{r.ratio.numerator},{r.ratio.denominator},{r.in_a_count}")
     return "\n".join(lines) + "\n"
 

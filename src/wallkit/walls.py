@@ -11,9 +11,11 @@ complexes.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, groupby
+from operator import ne
 from typing import Iterable, Iterator, Literal
 
 from .complexes import Complex, check_geodesic_ends, geodesic_tree
@@ -42,8 +44,9 @@ class WallPartition(Mapping):
     """Wall id -> its sorted edge ids, kept in arrays: ``order`` is the edge
     ids sorted by wall, and wall w's edges are ``order[offsets[w]:offsets[w
     + 1]]``.  A wall's id is its least edge id, so ``offsets`` and the
-    ``is_wall`` flags are indexed by edge id.  ``[w]`` makes the tuple;
-    ``size`` reads a wall's size off the offsets.
+    ``is_wall`` flags are indexed by edge id; BadParams unless every wall
+    is named so.  ``[w]`` makes the tuple; ``size`` reads a wall's size off
+    the offsets.
     """
 
     def __init__(self, wall_of_edge: array):
@@ -55,6 +58,9 @@ class WallPartition(Mapping):
         self.offsets = array("l", accumulate(counts))
         self.is_wall = bytearray(map(bool, counts[1:]))
         self._len = self.is_wall.count(1)
+        # the first edge of a wall in the stable sort is its least
+        if any(map(ne, map(self.order.__getitem__, compress(self.offsets, self.is_wall)), self)):
+            raise BadParams("each wall must be named by its least edge id")
 
     def size(self, wid: int) -> int:
         """The number of edges of wall wid, 0 for an edge id that is no wall id."""
@@ -75,61 +81,63 @@ class WallPartition(Mapping):
         return self._len
 
 
-class WallPairs(Mapping):
-    """Wall id -> the (cell, e1, e2) pairs realizing the wall, in cell
-    order.  Only the walls that have pairs are stored; any other wall id
-    answers ``()``, and an id that names no wall raises KeyError."""
+class WallView(Mapping):
+    """Wall id -> ``value(wid)`` over the wall ids of ``ids``, in its order.
+    A value is made when it is read, so the view holds no object per
+    wall; an id outside ``ids`` raises KeyError."""
 
-    def __init__(self, walls: WallPartition, pairs: dict[int, tuple[tuple[int, int, int], ...]]):
-        self.walls, self.pairs = walls, pairs
+    def __init__(self, ids: Mapping[int, object], value: Callable[[int], object]):
+        self.ids, self.value = ids, value
 
-    def __getitem__(self, wid: int) -> tuple[tuple[int, int, int], ...]:
-        if wid not in self.walls:
+    def __getitem__(self, wid: int):
+        if wid not in self.ids:
             raise KeyError(wid)
-        return self.pairs.get(wid, ())
+        return self.value(wid)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.walls)
+        return iter(self.ids)
 
     def __len__(self) -> int:
-        return len(self.walls)
+        return len(self.ids)
 
 
-@dataclass
 class WallSystem:
-    """The walls of a complex.  A system built by hand may pass a plain
-    list and dicts; its partition is then stored as ``build_walls`` stores
-    it, and must agree with ``wall_of_edge``.  ``hyperedges`` is read as
-    given."""
+    """The walls of a complex, from the wall of each edge (a wall's id is
+    its least edge id) and the (cell, e1, e2) pairs realizing the walls.
 
-    complex: Complex
-    wall_of_edge: array                          # eid -> wall id (min edge id in class)
-    walls: WallPartition                         # wall id -> sorted edge ids
-    hyperedges: Mapping[int, tuple[tuple[int, int, int], ...]]  # wid -> (cell, e1, e2)
-    _tree: SpanningTree | None = field(default=None, repr=False)
-    _forest: HangingForest | None = field(default=None, repr=False)
-    _splits: dict[int, WallSplit] = field(default_factory=dict, repr=False)
-    # (carrier edge set, strict) -> (passed, witness) of hypercarrier_check
-    _convexity: dict[tuple[frozenset[int], bool], tuple[bool, tuple[int, int, int] | None]] = field(
-        default_factory=dict, repr=False
-    )
+    ``walls`` is the partition, ``hyperedges`` the pairs of each wall in
+    the order given (``()`` for a wall no pair realizes), and ``tree`` the
+    spanning tree that every connectivity question reads, built here, so a
+    disconnected 1-skeleton raises BadParams.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.walls, WallPartition):
-            walls = WallPartition(array("l", self.wall_of_edge))
-            if walls != self.walls or any(walls[w][0] != w for w in walls):
-                raise BadParams("walls must group the edges by wall_of_edge, each under its least edge id")
-            self.wall_of_edge, self.walls = walls.wall_of_edge, walls
+    def __init__(self, complex: Complex, wall_of_edge: Iterable[int], pairs: Iterable[tuple[int, int, int]] = ()):
+        if not isinstance(wall_of_edge, array):
+            wall_of_edge = array("l", wall_of_edge)
+        n = len(complex.edges)
+        if len(wall_of_edge) != n or n and not 0 <= min(wall_of_edge) <= max(wall_of_edge) < n:
+            raise BadParams(f"wall_of_edge must give each of the {n} edges a wall id in 0..{n - 1}")
+        self.complex = complex
+        self.walls = WallPartition(wall_of_edge)
+        self.wall_of_edge = wall_of_edge
+
+        def pair_wall(pair: tuple[int, int, int]) -> int:
+            return wall_of_edge[pair[1]]
+
+        grouped = {wid: tuple(g) for wid, g in groupby(sorted(pairs, key=pair_wall), key=pair_wall)}
+        self.hyperedges = WallView(self.walls, lambda wid: grouped.get(wid, ()))
+        # built once the partition's temporaries are gone, to keep the peak down
+        self.tree = spanning_tree(complex)
+        self._splits: dict[int, WallSplit] = {}
+        # (carrier edge set, strict) -> (passed, witness) of hypercarrier_check
+        self._convexity: dict[tuple[frozenset[int], bool], tuple[bool, tuple[int, int, int] | None]] = {}
+
+    @cached_property
+    def forest(self) -> HangingForest:
+        return hanging_forest(self)
 
     def wall_ids(self) -> list[int]:
         return list(self.walls)
-
-
-def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
-    edge_ids = ws.walls.get(wid)
-    if edge_ids is None:
-        raise BadParams(f"no wall {wid}")
-    return edge_ids
 
 
 def _wall_size(ws: WallSystem, wid: int) -> int:
@@ -138,44 +146,39 @@ def _wall_size(ws: WallSystem, wid: int) -> int:
     return ws.walls.size(wid)
 
 
+def _wall_edges(ws: WallSystem, wid: int) -> tuple[int, ...]:
+    _wall_size(ws, wid)
+    return ws.walls[wid]
+
+
 def _tin(ws: WallSystem, v: int) -> int:
     """Preorder position of vertex v in the spanning tree; BadParams
     outside 0..nv-1."""
-    t = _tree(ws)
     if not 0 <= v < ws.complex.nv:
         raise BadParams(f"no vertex {v}: ids run 0..{ws.complex.nv - 1}")
-    return t.tin[v]
+    return ws.tree.tin[v]
 
 
-def _opposite_classes(c: Complex) -> tuple[WallPartition, WallPairs]:
-    """Union opposite edge pairs over every cell: the walls, and the (cell,
-    e1, e2) pairs realizing each wall.  One stable sort of the pairs by wall
-    keeps each wall's pairs in cell order."""
+def _opposite_classes(c: Complex) -> tuple[array, list[tuple[int, int, int]]]:
+    """Union opposite edge pairs over every cell: the wall of each edge
+    (the least edge id of its class), and the (cell, e1, e2) pairs
+    realizing the walls, in cell order."""
     uf = UnionFind(len(c.edges))
-    pair_realizations: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int, int]] = []
     for cid, cell in enumerate(c.cells):
         half = len(cell) // 2
         for i in range(half):
             e1 = cell[i][0]
             e2 = cell[i + half][0]
             uf.union(e1, e2)
-            pair_realizations.append((cid, e1, e2))
-    walls = WallPartition(array("l", map(uf.find, range(len(c.edges)))))
-    wall = walls.wall_of_edge.__getitem__
-
-    def pair_wall(pair: tuple[int, int, int]) -> int:
-        return wall(pair[1])
-
-    pair_realizations.sort(key=pair_wall)
-    pairs = {wid: tuple(group) for wid, group in groupby(pair_realizations, key=pair_wall)}
-    return walls, WallPairs(walls, pairs)
+            pairs.append((cid, e1, e2))
+    return array("l", map(uf.find, range(len(c.edges)))), pairs
 
 
 def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
     """Assemble the walls (the classes of opposite edges) and their data.
-
-    Every wall query reads the spanning tree built here, so a disconnected
-    1-skeleton raises BadParams.
+    The wall system builds its spanning tree, so a disconnected 1-skeleton
+    raises BadParams.
     """
     # perfbench/workloads.py still passes settled_policy="all"
     if settled_policy != "all":
@@ -183,10 +186,7 @@ def build_walls(c: Complex, *, settled_policy: str = "all") -> WallSystem:
     for cell in c.cells:
         if len(cell) % 2:
             raise OddCell(f"cell of odd length {len(cell)}; subdivide first")
-    walls, pairs = _opposite_classes(c)
-    # built once the partition's temporaries are gone, to keep the peak down
-    tree = spanning_tree(c)
-    return WallSystem(c, walls.wall_of_edge, walls, pairs, tree)
+    return WallSystem(c, *_opposite_classes(c))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,11 @@ class SpanningTree:
         if self.parent_edge[u] == eid:
             return u
         return -1
+
+    def bridge_child(self, eid: int) -> int:
+        """The lower end of edge eid if it is a bridge, a tree edge on no
+        non-tree edge's cycle, or -1."""
+        return -1 if self.covered[eid] else self.tree_child(eid)
 
 
 def spanning_tree(c: Complex) -> SpanningTree:
@@ -273,12 +278,6 @@ def spanning_tree(c: Complex) -> SpanningTree:
     return t
 
 
-def _tree(ws: WallSystem) -> SpanningTree:
-    if ws._tree is None:
-        ws._tree = spanning_tree(ws.complex)
-    return ws._tree
-
-
 @dataclass(frozen=True, slots=True)
 class WallSplit:
     """The 1-skeleton minus a wall's edges, read off the spanning tree.
@@ -316,12 +315,10 @@ def _split(ws: WallSystem, wid: int) -> WallSplit:
     split = ws._splits.get(wid)
     if split is not None:
         return split
-    t = _tree(ws)
+    t = ws.tree
     if ws.walls.size(wid) == 1:
-        x = t.tree_child(wid)  # a one-edge wall's id is its edge
-        if x >= 0 and not t.covered[wid]:
-            return WallSplit(2, (t.tin[x], t.tout[x], 1))
-        return WallSplit(1)
+        x = t.bridge_child(wid)  # a one-edge wall's id is its edge
+        return WallSplit(2, (t.tin[x], t.tout[x], 1)) if x >= 0 else WallSplit(1)
     edge_ids = ws.walls[wid]
     spans = sorted((t.tin[x], t.tout[x]) for x in map(t.tree_child, edge_ids) if x >= 0)
     # number the pieces, 0 for the root's and i for the one below the i-th
@@ -346,7 +343,7 @@ def wall_sides(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[int]
     """The two components of the 1-skeleton after deleting the wall's open
     edges, the one holding vertex 0 first; None when the wall is not
     two-sided."""
-    t = _tree(ws)
+    t = ws.tree
     _wall_size(ws, wid)
     split = _split(ws, wid)
     if not split.two_sided:
@@ -361,39 +358,21 @@ def wall_sides(ws: WallSystem, wid: int) -> tuple[frozenset[int], frozenset[int]
     return frozenset(t.pre) - far, far
 
 
-class SplitReport(Mapping):
-    """Wall id -> WallSplit over the requested walls, in wall-id order.
-    Each split is made when it is read (multi-edge splits are cached in the
-    wall system), so the report holds no object per wall."""
-
-    def __init__(self, ws: WallSystem, wall_ids: Mapping[int, object]):
-        self._ws, self._ids = ws, wall_ids
-
-    def __getitem__(self, wid: int) -> WallSplit:
-        if wid not in self._ids:
-            raise KeyError(wid)
-        return _split(self._ws, wid)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> SplitReport:
+def two_sidedness_report(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> WallView:
     """Batch two-sidedness from the wall system's spanning tree: a one-edge
     wall separates iff its edge is a bridge, and a larger wall's component
     count joins the tree pieces its tree edges cut off along the non-tree
-    edges it keeps.  Every requested id is checked here; the splits are
-    made as the report is read."""
-    _tree(ws)  # a disconnected 1-skeleton raises even when there is no wall
+    edges it keeps.  Every requested id is checked here, and the view maps
+    each one, once and in wall-id order, to its ``WallSplit``, made as the
+    view is read (a multi-edge wall's split is cached in the wall system).
+    """
     if wall_ids is None:
-        return SplitReport(ws, ws.walls)
-    ids = dict.fromkeys(sorted(set(wall_ids)))
-    for wid in ids:
-        _wall_size(ws, wid)
-    return SplitReport(ws, ids)
+        ids: Mapping[int, object] = ws.walls
+    else:
+        ids = dict.fromkeys(sorted(set(wall_ids)))
+        for wid in ids:
+            _wall_size(ws, wid)
+    return WallView(ids, partial(_split, ws))
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +597,6 @@ def hanging_forest(ws: WallSystem) -> HangingForest:
     return HangingForest(parent, depth, root, core)
 
 
-def _forest(ws: WallSystem) -> HangingForest:
-    if ws._forest is None:
-        ws._forest = hanging_forest(ws)
-    return ws._forest
-
-
 @dataclass
 class WallDistance:
     total: int
@@ -636,7 +609,9 @@ def geodesic_crossings(c: Complex, ws: WallSystem, q: int, targets: Iterable[int
     crossed an odd number of times, and the walls crossed once, each of
     which marks one single-crossing edge (geodesics repeat no edge).
 
-    The hanging forest (``hanging_forest``) reduces the work to the core.
+    The wall system's hanging forest (``ws.forest``, built once by
+    ``hanging_forest``) reduces the work to the core, which is connected,
+    as the 1-skeleton of any wall system is, so every root is reached.
     Every hanging edge is its own wall and a geodesic crosses it at most
     once, so each of its edges adds 1 to d, dw and in_a alike.  When p and
     q hang in one tree, the geodesic is the tree path through their lowest
@@ -651,16 +626,12 @@ def geodesic_crossings(c: Complex, ws: WallSystem, q: int, targets: Iterable[int
     """
     want = set(targets)
     check_geodesic_ends(c.nv, q, want)
-    f = _forest(ws)
+    f = ws.forest
     parent, depth, root = f.parent, f.depth, f.root
     rq = root[q]
     tops = {root[p] for p in want}
     tops.discard(rq)
-    try:
-        core = _core_crossings(ws, f.core, rq, tops) if tops else {}
-    except BadParams:  # only a disconnected complex leaves a root unreached
-        dq = c.bfs_distances(q)
-        raise BadParams(f"vertex {min(p for p in want if dq[p] < 0)} is not reached from {q}") from None
+    core = _core_crossings(ws, f.core, rq, tops) if tops else {}
     out: dict[int, tuple[int, int, int]] = {}
     hq = depth[q]
     for p in want:
@@ -750,36 +721,25 @@ def wall_distance(
         return WallDistance(0)
     if via == "parity":
         return WallDistance(geodesic_crossings(ws.complex, ws, q, (p,))[p][1])
-    t, size, splits = _tree(ws), ws.walls.size, ws._splits
+    bridge_child, tin, tout = ws.tree.bridge_child, ws.tree.tin, ws.tree.tout
+    size, splits = ws.walls.size, ws._splits
     total = 0
     for wid in ws.walls:
         split = splits.get(wid)
         if split is None:
-            if size(wid) == 1:
-                total += _bridge_separates(t, wid, tp, tq) is True
+            if size(wid) == 1:  # the bridge test, with no WallSplit made
+                x = bridge_child(wid)
+                total += x >= 0 and (tin[x] <= tp < tout[x]) != (tin[x] <= tq < tout[x])
                 continue
             split = _split(ws, wid)
         total += split.two_sided and split.side(tp) != split.side(tq)
     return WallDistance(total)
 
 
-def _bridge_separates(t: SpanningTree, eid: int, tp: int, tq: int) -> bool | None:
-    """Whether deleting edge eid parts the vertices at tin tp and tq; None
-    unless the edge is a bridge, a tree edge on no non-tree edge's cycle."""
-    x = t.tree_child(eid)
-    if x < 0 or t.covered[eid]:
-        return None
-    lo, hi = t.tin[x], t.tout[x]
-    return (lo <= tp < hi) != (lo <= tq < hi)
-
-
 def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
     """Side comparison for one wall; None when the wall is not two-sided."""
-    t = _tree(ws)
-    one_edge = _wall_size(ws, wid) == 1
+    _wall_size(ws, wid)
     tp, tq = _tin(ws, p), _tin(ws, q)
-    if one_edge:
-        return _bridge_separates(t, wid, tp, tq)
     split = _split(ws, wid)
     if not split.two_sided:
         return None
@@ -792,7 +752,7 @@ def separates(ws: WallSystem, wid: int, p: int, q: int) -> bool | None:
 
 def dump_walls(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
     lines = []
-    for wid in (ws.wall_ids() if wall_ids is None else sorted(wall_ids)):
+    for wid in (ws.wall_ids() if wall_ids is None else sorted(set(wall_ids))):
         edge_list = ",".join(str(e) for e in _wall_edges(ws, wid))
         lines.append(f"wall {wid} edges={edge_list}")
         for cid, e1, e2 in ws.hyperedges[wid]:
@@ -802,7 +762,7 @@ def dump_walls(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
 
 def walls_to_dot(ws: WallSystem, wall_ids: Iterable[int] | None = None) -> str:
     """Hypergraphs as a DOT graph: nodes are wall edges, links are cells."""
-    ids = ws.wall_ids() if wall_ids is None else sorted(wall_ids)
+    ids = ws.wall_ids() if wall_ids is None else sorted(set(wall_ids))
     out = ["graph walls {"]
     for wid in ids:
         out.append(f"  subgraph cluster_w{wid} {{")

@@ -127,3 +127,21 @@ def test_result_attributes_the_workloads_read_exist():
     rep = S.verify_linear_separation(c, ws, Fraction(1, 6), observe=True, max_pairs=50, seed=3)
     assert rep.pair_count == len(rep.rows) == 50
     assert all(r.dw <= r.d for r in rep.rows)
+
+
+def test_result_fields_the_span_hooks_read():
+    # The reads that the result hooks of spans.py make, on real results for
+    # the radius-4 ball: a field that moves or changes type there only
+    # miscounts a traced metric, with no failure anywhere.
+    p = P.gen_example("tv", I={1, 2}, k=7)
+    ball = C.build_cayley_ball(p, D.DehnMachine(p), 4)
+    assert ball.nv == 161
+    assert (sum(len(r) for r in p.relators), len(P.compute_pieces(p).pieces)) == (42, 4)
+    assert len(C.check_B6(ball).pieces) == 0  # the ball has no cells
+    ws = W.build_walls(ball, settled_policy="all")
+    assert len(ws.walls) == 160
+    sizes = [len(edge_ids) for edge_ids in ws.walls.values()]
+    assert sizes == [ws.walls.size(wid) for wid in ws.walls] and sum(sizes) == len(ball.edges)
+    assert sum(1 for n in sizes if n > 1) == 0
+    rep = S.verify_linear_separation(ball, ws, Fraction(1, 6), observe=True, max_pairs=50, seed=3)
+    assert rep.pair_count == 50

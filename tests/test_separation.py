@@ -104,14 +104,11 @@ def test_geodesic_matches_greedy_oracle(tree, ball7):
 
 
 def _two_components():
-    c = Complex([(0, 1), (2, 3)], [], 4)
-    walls = {0: (0,), 1: (1,)}
-    return c, WallSystem(c, [0, 1], walls, {wid: () for wid in walls})
+    return Complex([(0, 1), (2, 3)], [], 4)
 
 
 def _example1():
-    c = build_example1([1])
-    return c, build_walls(c)
+    return build_example1([1])
 
 
 @pytest.mark.parametrize(
@@ -127,9 +124,18 @@ def _example1():
 )
 @pytest.mark.parametrize("via", ["geodesic", "geodesic_context", "sweep"])
 def test_geodesic_rejects_ends_outside_the_graph(build, p, q, message, via):
-    c, ws = build()
-    call = {"geodesic": geodesic, "geodesic_context": lambda c, p, q: geodesic_context(c, ws, p, q),
-            "sweep": lambda c, p, q: sweep_pairs(c, ws, [(p, q)])}[via]
+    c = build()
+    if via == "geodesic":
+        call = geodesic
+    elif build is _two_components:
+        # no wall system exists on a disconnected 1-skeleton to ask
+        with pytest.raises(BadParams, match="disconnected"):
+            WallSystem(c, [0, 1])
+        return
+    else:
+        ws = build_walls(c)
+        call = {"geodesic_context": lambda c, p, q: geodesic_context(c, ws, p, q),
+                "sweep": lambda c, p, q: sweep_pairs(c, ws, [(p, q)])}[via]
     with pytest.raises(BadParams, match=message):
         call(c, p, q)
 
@@ -550,8 +556,7 @@ def _pendant_cell():
     )
     c = Complex(edges, [cell], 14)
     wall_of_edge = [0 if i in (0, 3, 6) else i for i in range(len(edges))]
-    walls = {0: (0, 3, 6), **{i: (i,) for i in range(len(edges)) if i not in (0, 3, 6)}}
-    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls})
+    return c, WallSystem(c, wall_of_edge)
 
 
 def test_sweep_on_a_cell_with_pendant_trees():
@@ -583,7 +588,7 @@ def _crossing_path():
     walls = {0: (0, 2, 4), 1: (1, 3, 5, 7, 9), 6: (6, 8, 10, 12), 11: (11, 13, 14, 15)}
     wall_of_edge = [wid for eid in range(len(edges)) for wid, es in walls.items() if eid in es]
     c = Complex(edges, [], 17)
-    return c, WallSystem(c, wall_of_edge, walls, {wid: () for wid in walls})
+    return c, WallSystem(c, wall_of_edge)
 
 
 def test_sweep_counts_walls_crossed_three_and_four_times():
@@ -610,8 +615,7 @@ def _square():
     """Two geodesics join 2 to 0 on a square; the lex-least one, through
     edges 1 and 0, crosses wall 0 twice, the other crosses walls 2 and 3."""
     c = Complex([(0, 1), (1, 2), (2, 3), (3, 0)], [], 4)
-    walls = {0: (0, 1), 2: (2,), 3: (3,)}
-    return c, WallSystem(c, [0, 0, 2, 3], walls, {wid: () for wid in walls})
+    return c, WallSystem(c, [0, 0, 2, 3])
 
 
 def test_sweep_follows_the_lex_least_geodesic():

@@ -131,11 +131,18 @@ def test_walls_and_hyperedges_match_grouping_oracle(build):
 
 def test_hand_built_walls_must_match_wall_of_edge():
     c = Complex([(0, 1), (1, 2), (2, 3)], [], 4)
-    ws = WallSystem(c, [0, 0, 2], {0: (0, 1), 2: (2,)}, {0: (), 2: ()})
+    ws = WallSystem(c, [0, 0, 2])
     assert dict(ws.walls) == {0: (0, 1), 2: (2,)} and list(ws.wall_of_edge) == [0, 0, 2]
-    for wall_of_edge, walls in (([0, 0, 2], {0: (0,), 1: (1,), 2: (2,)}), ([1, 1, 2], {1: (0, 1), 2: (2,)})):
+    for wall_of_edge in ([1, 1, 2], [0, 2, 2]):
         with pytest.raises(BadParams, match="least edge id"):
-            WallSystem(c, wall_of_edge, walls, dict.fromkeys(walls, ()))
+            WallSystem(c, wall_of_edge)
+
+
+def test_wall_system_needs_a_wall_id_in_range_for_each_edge():
+    c = Complex([(0, 1), (1, 2), (2, 3)], [], 4)
+    for wall_of_edge in ([0, 0], [0, 0, 2, 3], [0, 0, -1], [0, 0, 3]):
+        with pytest.raises(BadParams, match="each of the 3 edges a wall id in 0..2"):
+            WallSystem(c, wall_of_edge)
 
 
 def test_example1_wall_structure(ex1):
@@ -308,21 +315,13 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
         groups.setdefault(lab, []).append(eid)
     walls = {g[0]: tuple(g) for g in groups.values()}
     wall_of_edge = [groups[lab][0] for lab in labels]
-    ws = WallSystem(c, wall_of_edge, walls, {w: () for w in walls})
     if component_labels(c, frozenset())[1] > 1:
-        # every wall query reads the spanning tree, which needs a connected 1-skeleton
-        wid = min(walls, default=0)
-        for call in (
-            lambda: build_walls(c),
-            lambda: two_sidedness_report(ws),
-            lambda: wall_sides(ws, wid),
-            lambda: separates(ws, wid, 0, 1),
-            lambda: wall_distance(ws, 0, c.nv - 1),
-            lambda: wall_distance(ws, 0, c.nv - 1, via="components"),
-        ):
+        # a wall system builds its spanning tree, which needs a connected 1-skeleton
+        for build in (lambda: build_walls(c), lambda: WallSystem(c, wall_of_edge)):
             with pytest.raises(BadParams, match="disconnected"):
-                call()
+                build()
         return
+    ws = WallSystem(c, wall_of_edge)
     rep = two_sidedness_report(ws)
     for wid, edge_ids in walls.items():
         label, count = component_labels(c, frozenset(edge_ids))
@@ -535,13 +534,15 @@ def test_unknown_wall_id_is_bad_params(ex1):
 def test_split_side_matches_wall_sides(build):
     c = build()
     ws = build_walls(c)
-    tin = ws._tree.tin
+    tin = ws.tree.tin
     splits = two_sidedness_report(ws)
     for wid in ws.wall_ids():
         near, far = wall_sides(ws, wid)
         side = splits[wid].side
         assert [side(tin[v]) for v in range(c.nv)] == [v in far for v in range(c.nv)], wid
         assert near | far == frozenset(range(c.nv))
+        # the oracle BFS labels vertex 0's component 0, as the split does
+        assert component_labels(c, frozenset(ws.walls[wid])) == ([side(tin[v]) for v in range(c.nv)], 2), wid
 
 
 # -- wall pseudo-metric ------------------------------------------------------------
@@ -641,3 +642,12 @@ def test_dump_and_dot(ex1):
     assert text.startswith(f"wall {ws.wall_ids()[0]} edges=")
     dot = walls_to_dot(ws, ws.wall_ids()[:2])
     assert dot.startswith("graph walls {") and "--" in dot
+
+
+def test_dumps_print_a_repeated_wall_once(ex1):
+    ws = build_walls(ex1)
+    w, v = ws.wall_ids()[:2]
+    assert dump_walls(ws, [v, w, v, w]) == dump_walls(ws, [w, v])
+    assert walls_to_dot(ws, [v, w, v, w]) == walls_to_dot(ws, [w, v])
+    assert dump_walls(ws, [w, w]).count(f"wall {w} ") == 1
+    assert walls_to_dot(ws, [w, w]).count(f"cluster_w{w} ") == 1
