@@ -49,9 +49,12 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        ints = [int(t) for t in text.replace(",", " ").split()]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from e
+    if not ints:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return ints
 
 
 def _positive(text: str) -> int:

@@ -71,21 +71,7 @@ class Complex:
         raise KeyError(label)
 
     def bfs_distances(self, src: int) -> list[int]:
-        dist = [-1] * self.nv
-        dist[src] = 0
-        adj = self.adjacency()
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v, _ in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return dist
+        return bfs(self.adjacency(), src)[0]
 
     def validate(self) -> list[int]:
         """Check the structure; return the distances from ``base`` (or from
@@ -134,25 +120,23 @@ def check_geodesic_ends(nv: int, q: int, targets: set[int]) -> None:
         raise BadParams("geodesic endpoints must differ")
 
 
-def geodesic_tree(
-    adj: Sequence[Sequence[tuple[int, int]]], q: int, targets: Iterable[int]
-) -> dict[int, list[tuple[int, int]]]:
-    """The lex-least geodesics from the targets to q, as one tree rooted at
-    q: ``{vertex: [(child, edge id), ...]}``.  ``adj`` holds each vertex's
-    ``(neighbour, edge id)`` pairs in increasing edge id, as
-    ``Complex.adjacency()`` does.  Any edge into the level one nearer q
-    keeps a geodesic open and the first edge that differs decides the
-    order, so each vertex descends by its least edge id into that level.
-    The BFS from q keeps one distance list and stops once it has reached
-    every target: by then each level nearer q is complete.  BadParams for
-    equal ends, an id outside the graph or an unreached target.
+def bfs(
+    adj: Sequence[Sequence[tuple[int, int]]], src: int, targets: Iterable[int] = ()
+) -> tuple[list[int], list[int]]:
+    """The breadth-first search from src over ``adj``, which holds each
+    vertex's ``(neighbour, edge id)`` pairs: the distance list (-1 where a
+    vertex is unreached) and the vertices in the order they are reached,
+    level by level.  With targets, the search stops once it has reached
+    all of them, so every level nearer src is complete.  BadParams for a
+    src outside the graph.
     """
+    if not 0 <= src < len(adj):
+        raise BadParams(f"no vertex {src}: ids run 0..{len(adj) - 1}")
     want = set(targets)
-    check_geodesic_ends(len(adj), q, want)
+    left = len(want) - (src in want) if want else -1  # -1: no targets, search it all
     dist = [-1] * len(adj)
-    dist[q] = 0
-    order = [q]
-    left = len(want)
+    dist[src] = 0
+    order = [src]
     for u in order:  # a list iterator sees the appends
         if not left:
             break
@@ -163,7 +147,28 @@ def geodesic_tree(
                 order.append(v)
                 if v in want:
                     left -= 1
-    if left:
+    return dist, order
+
+
+def geodesic_tree(
+    adj: Sequence[Sequence[tuple[int, int]]], q: int, targets: Iterable[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """The lex-least geodesics from the targets to q, as one tree rooted at
+    q: ``{vertex: [(child, edge id), ...]}``.  ``adj`` holds each vertex's
+    ``(neighbour, edge id)`` pairs in increasing edge id, as
+    ``Complex.adjacency()`` does.  Any edge into the level one nearer q
+    keeps a geodesic open and the first edge that differs decides the
+    order, so each vertex descends by its least edge id into that level.
+    ``bfs`` from q stops once it has reached every target, and by then
+    each level nearer q is complete.  BadParams for equal ends, an id
+    outside the graph or an unreached target.
+    """
+    want = set(targets)
+    check_geodesic_ends(len(adj), q, want)
+    if not want:
+        return {}
+    dist, _ = bfs(adj, q, want)
+    if -1 in map(dist.__getitem__, want):
         raise BadParams(f"vertex {min(v for v in want if dist[v] < 0)} is not reached from {q}")
 
     children: dict[int, list[tuple[int, int]]] = {}

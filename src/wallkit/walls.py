@@ -14,11 +14,11 @@ from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, groupby
+from itertools import accumulate, chain, compress, groupby, islice
 from operator import ne
 from typing import Iterable, Iterator, Literal
 
-from .complexes import Complex, check_geodesic_ends, geodesic_tree
+from .complexes import Complex, bfs, check_geodesic_ends, geodesic_tree
 from .errors import BadParams, OddCell
 
 
@@ -227,24 +227,24 @@ class SpanningTree:
 
 
 def spanning_tree(c: Complex) -> SpanningTree:
-    """BFS spanning tree from vertex 0; BadParams if the 1-skeleton is
-    disconnected."""
+    """The tree of lex-least geodesics to vertex 0: ``bfs`` from vertex 0,
+    then each vertex's parent edge is its least edge id into the level
+    nearer vertex 0, the descent rule of ``geodesic_tree``.  BadParams if
+    the 1-skeleton is disconnected."""
     adj = c.adjacency()
+    dist, order = bfs(adj, 0) if c.nv else ([], [])
+    if len(order) < c.nv:
+        raise BadParams(f"1-skeleton is disconnected: vertex {dist.index(-1)} is not reached from vertex 0")
     parent = array("l", [-1]) * c.nv
     parent_edge = array("l", [-1]) * c.nv
-    order = array("l", [0] if c.nv else [])
-    seen = bytearray(c.nv)
-    if c.nv:
-        seen[0] = 1
-    for u in order:  # an array iterator sees the appends
-        for v, eid in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                parent_edge[v] = eid
-                order.append(v)
-    if len(order) < c.nv:
-        raise BadParams(f"1-skeleton is disconnected: vertex {seen.index(0)} is not reached from vertex 0")
+    for v in islice(order, 1, None):
+        below = dist[v] - 1
+        for w, eid in adj[v]:  # in increasing edge id
+            if dist[w] == below:
+                break
+        parent[v] = w
+        parent_edge[v] = eid
+    del dist  # not read again: the arrays below need not share the peak with it
     size = array("l", [1]) * c.nv
     for v in reversed(order):
         if parent[v] >= 0:
@@ -424,48 +424,13 @@ class ConvexityReport:
     witness: tuple[int, int, int] | None  # (u, v, offending edge) in strict mode
 
 
-def _geodesic_taint(
-    adj: list[list[tuple[int, int]]] | dict[int, list[tuple[int, int]]],
-    u: int,
-    targets: set[int],
-    carrier_es: frozenset[int],
-) -> tuple[dict[int, int], set[int]]:
-    """BFS from u, level by level, until every target is reached.
-
-    Returns the distances found and the tainted vertices: those some
-    geodesic from u reaches through an edge outside carrier_es.
-    """
-    dist = {u: 0}
-    tainted: set[int] = set()
-    frontier = [u]
-    left = len(targets)
-    d = 0
-    while frontier and left:
-        d += 1
-        nxt = []
-        for x in frontier:
-            x_tainted = x in tainted
-            for y, eid in adj[x]:
-                dy = dist.get(y)
-                if dy is None:
-                    dist[y] = d
-                    nxt.append(y)
-                    if y in targets:
-                        left -= 1
-                elif dy != d:
-                    continue
-                if x_tainted or eid not in carrier_es:
-                    tainted.add(y)
-        frontier = nxt
-    return dist, tainted
-
-
-def _cone_exit(c: Complex, carrier_es: frozenset[int], u: int, v: int) -> int:
+def _cone_exit(c: Complex, carrier_es: frozenset[int], du: list[int], u: int, v: int) -> int:
     """First edge outside the carrier met by walking the geodesic cone from u
-    toward v; the caller knows one exists."""
-    du, dv = c.bfs_distances(u), c.bfs_distances(v)
-    D = du[v]
+    toward v; ``du`` holds u's distances at least up to v's level, and the
+    caller knows such an edge exists."""
     adj = c.adjacency()
+    dv, _ = bfs(adj, v, (u,))
+    D = du[v]
     frontier = {u}
     for _ in range(D):
         nxt: set[int] = set()
@@ -509,21 +474,32 @@ def _convexity(
     vs = sorted(carrier_vs)
     adj = c.adjacency()
     if not strict:
-        inner_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vs}
+        inner: list = [()] * c.nv  # the carrier's edges alone
+        for v in vs:
+            inner[v] = []
         for eid in carrier_es:
             a, b = c.edges[eid]
-            inner_adj[a].append((b, eid))
-            inner_adj[b].append((a, eid))
+            inner[a].append((b, eid))
+            inner[b].append((a, eid))
     for i, u in enumerate(vs[:-1]):
         later = vs[i + 1:]
-        dist, tainted = _geodesic_taint(adj, u, set(later), carrier_es)
+        dist, order = bfs(adj, u, later)
         if strict:
+            # a vertex is tainted when some geodesic from u reaches it
+            # through an edge outside the carrier
+            tainted: set[int] = set()
+            for y in islice(order, 1, None):
+                below = dist[y] - 1
+                for x, eid in adj[y]:
+                    if dist[x] == below and (x in tainted or eid not in carrier_es):
+                        tainted.add(y)
+                        break
             bad = next((v for v in later if v in tainted), None)
             if bad is not None:
-                return False, (u, bad, _cone_exit(c, carrier_es, u, bad))
+                return False, (u, bad, _cone_exit(c, carrier_es, dist, u, bad))
         else:
-            inner, _ = _geodesic_taint(inner_adj, u, set(later), carrier_es)
-            bad = next((v for v in later if inner.get(v) != dist.get(v, -1)), None)
+            inner_dist, _ = bfs(inner, u, later)
+            bad = next((v for v in later if inner_dist[v] != dist[v]), None)
             if bad is not None:
                 return False, (u, bad, -1)
     return True, None

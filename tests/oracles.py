@@ -616,3 +616,21 @@ def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
         single = sum(1 for k in crossings.values() if k == 1)
         rows.append(PairRow(p, q, d, dw, Fraction(dw, d), single))
     return rows
+
+
+# -- graph search --------------------------------------------------------------
+
+
+def deque_bfs_distances(adj, src: int) -> list[int]:
+    """Distances from src by a deque BFS over the whole graph ``adj`` of
+    ``(neighbour, edge id)`` lists, -1 where a vertex is unreached."""
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v, _ in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist

@@ -470,6 +470,22 @@ def test_count_options_below_one_are_usage_errors(command, option, value, monkey
     assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["", ","])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "--family", "tv", "--I"], "--I"),
+        (["walls-dump", "--example", "example1", "--n"], "--n"),
+    ],
+    ids=["check-I", "walls-dump-n"],
+)
+def test_empty_integer_lists_are_usage_errors(argv, option, value, capsys):
+    # an empty list used to fall back to the default (tv{1,2}, n = 1,2,3)
+    assert main([*argv, value]) == 2
+    out, err = capsys.readouterr()
+    assert f"argument {option}: empty integer list" in err and out == ""
+
+
 def test_bad_letters_exit_input(tmp_path):
     # Words are validated where they are read: an unknown name in a relator
     # or in the queried word exits 2 before anything is built.

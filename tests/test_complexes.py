@@ -13,6 +13,7 @@ from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf, gf
 from wallkit import complexes
 from wallkit.complexes import (
     Complex,
+    bfs,
     boundary_word,
     build_cayley_ball,
     build_example1,
@@ -69,6 +70,16 @@ def test_ball_vertex_count_against_independent_oracle(one, ball7):
 
 def test_ball_distances_match_bfs(ball7):
     assert ball7.bfs_distances(0) == ball7.dist
+
+
+def test_bfs_rejects_a_source_outside_the_vertices():
+    # -1 used to read vertex nv - 1, and nv raised a bare IndexError
+    c = build_example1([1])
+    for src in (-1, c.nv, c.nv + 5):
+        with pytest.raises(BadParams, match=f"no vertex {src}: ids run 0..{c.nv - 1}"):
+            c.bfs_distances(src)
+        with pytest.raises(BadParams, match=f"no vertex {src}"):
+            bfs(c.adjacency(), src, (0,))
 
 
 def test_ball_boundary_words_are_relator_cycles(one, ball7):

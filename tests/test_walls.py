@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bridges, component_labels, group_walls, pairwise_hypercarrier_check
+from oracles import bridges, component_labels, deque_bfs_distances, group_walls, pairwise_hypercarrier_check
 from wallkit.complexes import (
     Complex,
+    bfs,
     build_cayley_ball,
     build_example1,
     build_example2,
@@ -30,6 +31,7 @@ from wallkit.walls import (
     hypercarrier_check,
     hypergraph_of,
     separates,
+    spanning_tree,
     two_sidedness_report,
     wall_distance,
     wall_sides,
@@ -332,6 +334,86 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
             assert wall_sides(ws, wid) == (frozenset(range(c.nv)) - far, far)
         else:
             assert wall_sides(ws, wid) is None
+
+
+# -- breadth-first search and the spanning tree -------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_with_walls(), st.data())
+def test_bfs_matches_deque_oracle(graph, data):
+    c, _ = graph
+    adj = c.adjacency()
+    for src in range(c.nv):
+        want = deque_bfs_distances(adj, src)
+        dist, order = bfs(adj, src)
+        assert dist == want
+        # the reached vertices, level by level
+        assert sorted(order) == [v for v in range(c.nv) if want[v] >= 0]
+        assert [dist[v] for v in order] == sorted(want[v] for v in order)
+    src = data.draw(st.integers(0, c.nv - 1), label="src")
+    want = deque_bfs_distances(adj, src)
+    reached = [v for v in range(c.nv) if want[v] >= 0]
+    targets = data.draw(st.sets(st.sampled_from(reached), min_size=1), label="targets")
+    dist, order = bfs(adj, src, targets)
+    far = max(want[t] for t in targets)
+    for v in range(c.nv):
+        if v in targets or want[v] < far:
+            assert dist[v] == want[v], v
+        else:  # the farthest level may be cut short
+            assert dist[v] in (-1, want[v]), v
+    assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+
+
+def test_bfs_stops_at_a_near_target():
+    c = _tv12_ball(6)
+    adj = c.adjacency()
+    near = adj[0][0][0]
+    dist, order = bfs(adj, 0, (near,))
+    assert dist[near] == 1 and len(order) < c.nv
+    assert bfs(adj, 0)[0] == deque_bfs_distances(adj, 0) == c.dist
+
+
+def _tree_path(t, v):
+    """Edge ids of the spanning tree's path from v up to vertex 0."""
+    path = []
+    while v:
+        eid = t.parent_edge[v]
+        path.append(eid)
+        a, b = t.edges[eid]
+        v = a if b == v else b
+    return path
+
+
+def _assert_lex_least_geodesic_tree(c):
+    t = spanning_tree(c)
+    for v in range(1, c.nv):
+        assert _tree_path(t, v) == geodesic(c, v, 0), v
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda n=n: build_example1(range(1, n + 1)) for n in range(1, 6)),
+        lambda: build_example2(2, 14),
+        lambda: _tv12_ball(6),
+    ],
+    ids=[*(f"theta-1..{n}" for n in range(1, 6)), "example2", "tv12-r6"],
+)
+def test_spanning_tree_is_the_lex_least_geodesic_tree(build):
+    _assert_lex_least_geodesic_tree(build())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_with_walls())
+# BFS from 0 meets vertex 3 first from vertex 1, by edge 3; the least edge
+# id into level 1 is edge 0, from vertex 2
+@example((Complex([(2, 3), (0, 1), (0, 2), (1, 3)], [], 4), [0, 1, 2, 3]))
+def test_spanning_tree_is_the_lex_least_geodesic_tree_random(graph):
+    c, _ = graph  # the strategy shuffles the edge ids
+    if min(deque_bfs_distances(c.adjacency(), 0)) < 0:
+        return  # disconnected: no spanning tree
+    _assert_lex_least_geodesic_tree(c)
 
 
 def test_truncation_can_break_two_sidedness():
