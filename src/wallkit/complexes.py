@@ -13,6 +13,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
@@ -432,13 +433,15 @@ class ElementTable:
     the move that made it, ``parent[v] * letter[v]`` (the shortlex tree,
     which is all a Cayley ball keeps of the table), its automaton state,
     and its bucket key: its image in a few finite
-    quotients that the seed picks, and its abelianization class.  A move
-    w*x lands on the element of w*x's Dehn reduction, or else on one that
-    shares its key and that Dehn's algorithm proves equal to it, so the
-    seed changes how many candidates are probed, never the table.  Stored
-    words are geodesic, hence Dehn-reduced, so a >half relator subword of
-    the freely reduced w*x can only be a suffix: a move runs Dehn's
-    algorithm only when one automaton step from w's state hits.
+    quotients that the seed picks, and its abelianization class.
+    ``step(u, x)`` is the table's one move, and ``walk``, ``index`` and
+    ``key`` go through its parts: u*x lands on the element of its Dehn
+    reduction, or else on one that shares its key and that Dehn's
+    algorithm proves equal to it, so the seed changes how many candidates
+    are probed, never the table.  Step runs Dehn's algorithm only when one
+    automaton step from u's state hits, on the premise that ``words[u]``
+    is Dehn-reduced (here because stored words are geodesic): then a >half
+    relator subword of the freely reduced words[u]*x can only be a suffix.
 
     The quotient image is a ``bytes`` of the points' images, stepped by x
     with one ``translate`` through x's 256-byte table; the abelian residue
@@ -474,14 +477,17 @@ class ElementTable:
         self.chain = array("l", [0])
         self.spheres = [0, 1]
 
-    def _residue_step(self, x: int, residue: tuple) -> tuple:
-        """The abelian residue of an element with ``residue`` times x."""
-        nxt = self.ab_step[x].get(residue)
+    def _key_step(self, key: tuple[bytes, tuple], x: int) -> tuple[bytes, tuple]:
+        """The bucket key of an element keyed ``key``, times x: the image
+        through x's translate table, the residue through x's memo."""
+        image, residue = key
+        memo = self.ab_step[x]
+        nxt = memo.get(residue)
         if nxt is None:
             ab = list(residue)
             ab[abs(x) - 1] += 1 if x > 0 else -1
-            nxt = self.ab_step[x][residue] = _ab_residue(ab, self.ab_basis)
-        return nxt
+            nxt = memo[residue] = _ab_residue(ab, self.ab_basis)
+        return image.translate(self.tabs[x]), nxt
 
     def bucket(self, key: tuple[bytes, tuple]) -> Iterator[int]:
         """The ids whose key is ``key``, in ascending order."""
@@ -495,63 +501,59 @@ class ElementTable:
             if v == last:
                 return
 
+    def _find(self, w: Sequence[int], key: tuple[bytes, tuple]) -> int | None:
+        """The id of the element of the Dehn-reduced word w, keyed ``key``,
+        or None: an exact lookup, then Dehn's algorithm against w's bucket."""
+        if key not in self.buckets:
+            return None  # every element's key is in ``buckets``
+        v = self.vid_of.get(w)
+        if v is None and self.p.relators:
+            v = next((b for b in self.bucket(key) if is_trivial(w + self.words[b].inverse(), self.m)), None)
+        return v
+
+    def step(self, u: int, x: int, make: bool = True) -> int | None:
+        """The id of the element of u*x.  With ``make`` an element not in
+        the table is made, the last id, with u*x as its word (else None);
+        past the vertex budget BudgetExceeded comes before any store."""
+        if x == -self.letter[u]:
+            return self.parent[u]  # back along u's last letter
+        words = self.words
+        s = self.delta[self.state[u]][x]
+        cand = words[u] + (x,)  # a plain tuple until it is reduced or made
+        key = self._key_step(self.keys[u], x)
+        v = self._find(dehn_reduce(Word._trusted(cand), self.m) if self.hit[s] else cand, key)
+        if v is None and make:
+            if len(words) >= self.vertex_budget:
+                raise BudgetExceeded(f"element budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}")
+            v = len(words)
+            words.append(Word._trusted(cand))
+            self.vid_of[words[v]] = v
+            self.parent.append(u)
+            self.letter.append(x)
+            self.state.append(s)
+            self.keys.append(key)
+            chain, last = self.chain, self.buckets.get(key, v)
+            chain.append(v)
+            chain[v], chain[last] = chain[last], v  # v joins the ring after its last id
+            self.buckets[key] = v
+        return v
+
     def walk(self, make: bool = True) -> Iterator[tuple[int, int, int | None]]:
-        """Yield ``(u, x, v)``, v the element of u*x, for each move out of
-        the outermost whole sphere in shortlex order, but the one back along
-        u's last letter.  With ``make`` a v not in the table is made (else it
-        is None), and the walk closes the next sphere when it ends."""
-        m, hit, relators, tabs, ab_step = self.m, self.hit, self.p.relators, self.tabs, self.ab_step
-        words, vid_of, state, keys, buckets = self.words, self.vid_of, self.state, self.keys, self.buckets
-        parent, letter, chain = self.parent, self.letter, self.chain
-        trusted = Word._trusted
+        """Yield ``(u, x, step(u, x, make))`` for each move out of the
+        outermost whole sphere in shortlex order, but the one back along
+        u's last letter.  With ``make`` the walk then closes the next sphere."""
+        letters, letter, step = self.letters, self.letter, self.step
         for u in range(self.spheres[-2], self.spheres[-1]):
-            wu = words[u]
-            step = self.delta[state[u]]
-            image, residue = keys[u]
-            for x in self.letters:
-                if wu and wu[-1] == -x:
-                    continue  # back to the prefix element, whose move made u
-                s = step[x]
-                cand = wu + (x,)  # a plain tuple until it is needed as a Word
-                key = (image.translate(tabs[x]), ab_step[x].get(residue) or self._residue_step(x, residue))
-                reduced = dehn_reduce(trusted(cand), m) if hit[s] else cand
-                v = vid_of.get(reduced)
-                if v is None and relators:
-                    for b in self.bucket(key):
-                        if is_trivial(reduced + words[b].inverse(), m):
-                            v = b
-                            break
-                if v is None and make:
-                    if len(words) >= self.vertex_budget:
-                        raise BudgetExceeded(
-                            f"vertex budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}"
-                        )
-                    v = len(words)
-                    cand = trusted(cand)
-                    words.append(cand)
-                    vid_of[cand] = v
-                    parent.append(u)
-                    letter.append(x)
-                    state.append(s)
-                    keys.append(key)
-                    last = buckets.get(key)
-                    if last is None:
-                        chain.append(v)
-                    else:
-                        chain.append(chain[last])
-                        chain[last] = v
-                    buckets[key] = v
-                yield u, x, v
+            back = -letter[u]
+            for x in letters:
+                if x != back:
+                    yield u, x, step(u, x, make)
         if make:
-            self.spheres.append(len(words))
+            self.spheres.append(len(self.words))
 
     def key(self, w: Sequence[int]) -> tuple[bytes, tuple]:
-        """The bucket key of w's element, stepped letter by letter from the
-        identity's as a move steps it."""
-        image, residue = self.keys[0]
-        for x in w:
-            image, residue = image.translate(self.tabs[x]), self._residue_step(x, residue)
-        return image, residue
+        """The bucket key of w's element: step's key step folded over w."""
+        return reduce(self._key_step, w, self.keys[0])
 
     def index(self, w: Word) -> int:
         """The id of the element of the Dehn-reduced word w.  If the table
@@ -559,12 +561,10 @@ class ElementTable:
         element made that equals w, and that element's word is w's
         shortlex-least word.  After a BudgetExceeded the next growth walks
         the unfinished sphere again and finds what it made by lookup."""
-        if w in self.vid_of:
-            return self.vid_of[w]
         key = self.key(w)
-        for v in self.bucket(key):
-            if is_trivial(w + self.words[v].inverse(), self.m):
-                return v
+        v = self._find(w, key)
+        if v is not None:
+            return v
         made = len(self.words)
         while True:
             for _ in self.walk():

@@ -339,6 +339,12 @@ def test_word_budget_exit(pres_files):
     assert rc == 3 and "budget" in err
 
 
+def test_word_budget_message_names_no_missing_option(capsys):
+    # word's table is bounded by --node-budget; it has no --vertex-budget
+    assert main(["word", "--family", "tv", "--node-budget", "3", "ababab"]) == 3
+    assert capsys.readouterr().err == "budget: element budget 3 exhausted at radius 1\n"
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--vertex-budget", "3"]])
 def test_word_takes_no_ball_options(flag, capsys):
     # word builds no ball, so the ball's seed and vertex budget are not its options

@@ -299,6 +299,65 @@ def test_bucket_chains_under_forced_collisions(monkeypatch):
     assert {key: list(table.bucket(key)) for key in table.buckets} == by_key
 
 
+def _table_arrays(table):
+    return (table.words, table.keys, table.chain, table.parent, table.letter, table.state, table.vid_of, table.buckets)
+
+
+@pytest.mark.parametrize("quotients", [True, False], ids=["quotients", "forced-collisions"])
+def test_step_returns_what_walk_yielded(monkeypatch, quotients):
+    # step(u, x, make=False) is walk()'s move without growth: at any vertex
+    # and in any order it returns the id walk() yielded, None for a move
+    # out of the table, and u's parent for the move back; it stores nothing.
+    if not quotients:
+        monkeypatch.setattr(complexes, "_find_finite_quotients", _no_quotients)
+    p = gen_example("tv", I={1, 2}, k=7)
+    table = complexes.ElementTable(p, DehnMachine(p), vertex_budget=100_000, seed=0)
+    moves = []
+    for _ in range(5):
+        moves += table.walk()
+    leaving = list(table.walk(make=False))
+    sizes = [len(a) for a in _table_arrays(table)]
+    assert len(table.spheres) == 7 and any(v is None for _, _, v in leaving)
+    for u, x, v in reversed(moves + leaving):
+        assert table.step(u, x, make=False) == v
+    for u in range(1, len(table.words)):
+        assert table.step(u, -table.letter[u], make=False) == table.parent[u]
+    assert [len(a) for a in _table_arrays(table)] == sizes
+
+
+def test_step_lands_by_dehn_reduction_and_by_bucket_probe(monkeypatch):
+    # (ab)^3 a and (b^-1 a^-1)^3 b^-1 are one element by (ab)^7 = 1, and a
+    # radius-7 table stores the shortlex-less one.  The move onto the other
+    # finds it by a bucket probe; (ab)^3 a * b Dehn-reduces to a stored word.
+    p = gen_example("tv", I={1, 2}, k=7)
+    table = complexes.ElementTable(p, DehnMachine(p), vertex_budget=100_000, seed=0)
+    for _ in range(7):
+        for _ in table.walk():
+            pass
+    stored, other = sorted([Word((1, 2) * 3 + (1,)), Word((-2, -1) * 3 + (-2,))], key=shortlex_key)
+    assert other not in table.vid_of
+    calls = []
+    monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
+    assert table.step(table.vid_of[other[:-1]], other[-1], make=False) == table.vid_of[stored] and calls
+    del calls[:]
+    ab4 = Word((1, 2) * 4)
+    assert table.step(table.vid_of[ab4[:-1]], 2, make=False) == table.vid_of[dehn_reduce(ab4, table.m)]
+    assert not calls
+
+
+def test_step_past_the_budget_stores_nothing():
+    p = gen_example("tv", I={1, 2}, k=7)
+    table = complexes.ElementTable(p, DehnMachine(p), vertex_budget=5, seed=0)
+    assert [v for _, _, v in table.walk()] == [1, 2, 3, 4]
+    sizes = [len(a) for a in _table_arrays(table)]
+    with pytest.raises(BudgetExceeded, match="element budget 5 exhausted at radius 2"):
+        table.step(1, 1)
+    assert [len(a) for a in _table_arrays(table)] == sizes
+    assert table.step(1, 1, make=False) is None
+    table.vertex_budget = 6
+    assert table.step(1, 1) == 5 and table.words[5] == table.words[1] + (1,)
+
+
 def test_ball_build_memory_is_bounded():
     # radius-8 tv{1,2} k=7 (13,107 vertices) under tracemalloc: the build
     # peaks at about 9.0 MiB and the complex holds about 5.4 MiB.  When the
