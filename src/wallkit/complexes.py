@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .dehn import DehnMachine, dehn_reduce, is_trivial, letter_rank
@@ -24,6 +25,44 @@ from .words import Word, render
 Token = tuple[int, int]  # (edge id, direction: +1 traverses stored u->v)
 
 
+@dataclass(frozen=True, slots=True)
+class Adjacency:
+    """A graph's edges at each vertex, in increasing edge id: ``nbrs[v]``
+    is the tuple of v's neighbours, and the id of the edge to
+    ``nbrs[v][i]`` is ``eids[start[v] + i]``.  A loop is listed twice at its
+    vertex.  Searches read the neighbour tuples alone, and an edge id by
+    its position: there is no (neighbour, edge id) tuple per edge end.
+    """
+
+    nbrs: list[tuple[int, ...]]
+    eids: array
+    start: array  # nv + 1 offsets into eids
+
+
+def adjacency_of(nv: int, edges: Sequence[tuple[int, int]], subset: Sequence[int] | None = None) -> Adjacency:
+    """The Adjacency on vertices 0..nv-1 of the edges ``edges[e]`` for e in
+    ``subset``, which must increase (default: every edge).  The neighbour
+    tuples share their ints with ``edges``."""
+    ids = range(len(edges)) if subset is None else subset
+    lists: list[list[int]] = [[] for _ in range(nv)]
+    for e in ids:
+        u, v = edges[e]
+        lists[u].append(v)
+        lists[v].append(u)
+    nbrs = list(map(tuple, lists))
+    del lists
+    start = array("l", accumulate(map(len, nbrs), initial=0))
+    fill = array("l", start)
+    out = array("l", [0]) * start[nv]
+    for e in ids:
+        u, v = edges[e]
+        out[fill[u]] = e
+        fill[u] += 1
+        out[fill[v]] = e
+        fill[v] += 1
+    return Adjacency(nbrs, out, start)
+
+
 @dataclass(eq=False)
 class Complex:
     """Immutable-after-build combinatorial 2-complex."""
@@ -32,7 +71,7 @@ class Complex:
     cells: list[tuple[Token, ...]]
     nv: int
     vertex_labels: Mapping[int, str] = field(default_factory=dict)
-    edge_gens: dict[int, int] = field(default_factory=dict)  # eid -> generator index (u * gen = v)
+    edge_gens: array | None = None  # eid -> generator index (u * gen = v), -1 for none; None: all -1
     origin: str = "file"
     radius: int | None = None
     base: int | None = None
@@ -41,17 +80,15 @@ class Complex:
     generator_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self._adj: list[list[tuple[int, int]]] | None = None
+        if self.edge_gens is None:
+            self.edge_gens = array("b", [-1]) * len(self.edges)
+        self._adj: Adjacency | None = None
 
     # -- structure --------------------------------------------------------
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
+    def adjacency(self) -> Adjacency:
         if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.nv)]
-            for eid, (u, v) in enumerate(self.edges):
-                adj[u].append((v, eid))
-                adj[v].append((u, eid))
-            self._adj = adj
+            self._adj = adjacency_of(self.nv, self.edges)
         return self._adj
 
     def edge_ends(self, token: Token) -> tuple[int, int]:
@@ -72,7 +109,7 @@ class Complex:
         raise KeyError(label)
 
     def bfs_distances(self, src: int) -> list[int]:
-        return bfs(self.adjacency(), src)[0]
+        return bfs(self.adjacency().nbrs, src)[0]
 
     def validate(self) -> list[int]:
         """Check the structure; return the distances from ``base`` (or from
@@ -82,6 +119,8 @@ class Complex:
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.nv and 0 <= v < self.nv):
                 raise ParseError(f"edge {eid} endpoint out of range")
+        if len(self.edge_gens) != len(self.edges):
+            raise ParseError(f"{len(self.edge_gens)} edge generators for {len(self.edges)} edges")
         seen_sets: dict[frozenset[int], int] = {}
         for cid, cell in enumerate(self.cells):
             if not cell:
@@ -121,28 +160,34 @@ def check_geodesic_ends(nv: int, q: int, targets: set[int]) -> None:
         raise BadParams("geodesic endpoints must differ")
 
 
-def bfs(
-    adj: Sequence[Sequence[tuple[int, int]]], src: int, targets: Iterable[int] = ()
-) -> tuple[list[int], list[int]]:
-    """The breadth-first search from src over ``adj``, which holds each
-    vertex's ``(neighbour, edge id)`` pairs: the distance list (-1 where a
-    vertex is unreached) and the vertices in the order they are reached,
-    level by level.  With targets, the search stops once it has reached
-    all of them, so every level nearer src is complete.  BadParams for a
-    src outside the graph.
+def bfs(nbrs: Sequence[Sequence[int]], src: int, targets: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+    """The breadth-first search from src over ``nbrs``, each vertex's
+    neighbours (``Adjacency.nbrs``): the distance list (-1 where a vertex
+    is unreached) and the vertices in the order they are reached, level by
+    level.  With targets, the search stops once it has reached all of
+    them, so every level nearer src is complete.  BadParams for a src
+    outside the graph.
     """
-    if not 0 <= src < len(adj):
-        raise BadParams(f"no vertex {src}: ids run 0..{len(adj) - 1}")
+    if not 0 <= src < len(nbrs):
+        raise BadParams(f"no vertex {src}: ids run 0..{len(nbrs) - 1}")
     want = set(targets)
-    left = len(want) - (src in want) if want else -1  # -1: no targets, search it all
-    dist = [-1] * len(adj)
+    dist = [-1] * len(nbrs)
     dist[src] = 0
     order = [src]
-    for u in order:  # a list iterator sees the appends
+    if not want:  # search it all, with no per-vertex target test
+        for u in order:  # a list iterator sees the appends
+            du = dist[u] + 1
+            for v in nbrs[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    order.append(v)
+        return dist, order
+    left = len(want) - (src in want)
+    for u in order:
         if not left:
             break
         du = dist[u] + 1
-        for v, _ in adj[u]:
+        for v in nbrs[u]:
             if dist[v] < 0:
                 dist[v] = du
                 order.append(v)
@@ -151,24 +196,22 @@ def bfs(
     return dist, order
 
 
-def geodesic_tree(
-    adj: Sequence[Sequence[tuple[int, int]]], q: int, targets: Iterable[int]
-) -> dict[int, list[tuple[int, int]]]:
+def geodesic_tree(adj: Adjacency, q: int, targets: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
     """The lex-least geodesics from the targets to q, as one tree rooted at
-    q: ``{vertex: [(child, edge id), ...]}``.  ``adj`` holds each vertex's
-    ``(neighbour, edge id)`` pairs in increasing edge id, as
-    ``Complex.adjacency()`` does.  Any edge into the level one nearer q
-    keeps a geodesic open and the first edge that differs decides the
-    order, so each vertex descends by its least edge id into that level.
-    ``bfs`` from q stops once it has reached every target, and by then
-    each level nearer q is complete.  BadParams for equal ends, an id
+    q: ``{vertex: [(child, edge id), ...]}``.  Any edge into the level one
+    nearer q keeps a geodesic open and the first edge that differs decides
+    the order, so each vertex descends by its least edge id into that
+    level: its first such neighbour, as ``adj`` lists edges in increasing
+    id.  ``bfs`` from q stops once it has reached every target, and by
+    then each level nearer q is complete.  BadParams for equal ends, an id
     outside the graph or an unreached target.
     """
+    nbrs, eids, start = adj.nbrs, adj.eids, adj.start
     want = set(targets)
-    check_geodesic_ends(len(adj), q, want)
+    check_geodesic_ends(len(nbrs), q, want)
     if not want:
         return {}
-    dist, _ = bfs(adj, q, want)
+    dist, _ = bfs(nbrs, q, want)
     if -1 in map(dist.__getitem__, want):
         raise BadParams(f"vertex {min(v for v in want if dist[v] < 0)} is not reached from {q}")
 
@@ -177,11 +220,11 @@ def geodesic_tree(
     for v in want:
         while v not in in_tree:
             in_tree.add(v)
-            below = dist[v] - 1
-            for w, eid in adj[v]:  # in increasing edge id
-                if dist[w] == below:
-                    break
-            children.setdefault(w, []).append((v, eid))
+            below, nb, i = dist[v] - 1, nbrs[v], 0
+            while dist[nb[i]] != below:
+                i += 1
+            w = nb[i]
+            children.setdefault(w, []).append((v, eids[start[v] + i]))
             v = w
     return children
 
@@ -204,7 +247,7 @@ class _Builder:
         self.edges: list[tuple[int, int]] = []
         self.cells: list[tuple[Token, ...]] = []
         self.vertex_labels: dict[int, str] = {}
-        self.edge_gens: dict[int, int] = {}
+        self.edge_gens = array("b")
 
     def vertex(self, label: str | None = None) -> int:
         vid = self.nv
@@ -216,8 +259,7 @@ class _Builder:
     def edge(self, u: int, v: int, gen: int | None = None) -> int:
         eid = len(self.edges)
         self.edges.append((u, v))
-        if gen is not None:
-            self.edge_gens[eid] = gen
+        self.edge_gens.append(-1 if gen is None else gen)
         return eid
 
     def chain(self, u: int, v: int, length: int) -> list[Token]:
@@ -424,13 +466,24 @@ def _find_finite_quotients(p: Presentation, seed: int) -> dict[int, tuple[int, .
     return {x: tuple(perm) for x, perm in union.items()}
 
 
+def _code(w: Sequence[int]) -> bytes:
+    """A word as bytes, one signed byte per letter."""
+    return array("b", w).tobytes()
+
+
+def _word(code: bytes) -> Word:
+    """The Word of ``_code``'s bytes."""
+    return Word._trusted(memoryview(code).cast("b"))
+
+
 class ElementTable:
     """The elements of a 1/6 presentation's group, numbered in shortlex
     order of their least words: sphere k is ids ``spheres[k]`` up to
     ``spheres[k + 1]``.
 
-    Element v keeps its least word ``words[v]`` (``vid_of`` maps it back),
-    the move that made it, ``parent[v] * letter[v]`` (the shortlex tree,
+    Element v keeps its least word as bytes, ``words[v]``, one signed byte
+    per letter (``vid_of`` maps the bytes back, and ``word(v)`` is the
+    Word), the move that made it, ``parent[v] * letter[v]`` (the shortlex tree,
     which is all a Cayley ball keeps of the table), its automaton state,
     and its bucket key: its image in a few finite
     quotients that the seed picks, and its abelianization class.
@@ -439,9 +492,9 @@ class ElementTable:
     reduction, or else on one that shares its key and that Dehn's
     algorithm proves equal to it, so the seed changes how many candidates
     are probed, never the table.  Step runs Dehn's algorithm only when one
-    automaton step from u's state hits, on the premise that ``words[u]``
-    is Dehn-reduced (here because stored words are geodesic): then a >half
-    relator subword of the freely reduced words[u]*x can only be a suffix.
+    automaton step from u's state hits, on the premise that ``word(u)`` is
+    Dehn-reduced (here because stored words are geodesic): then a >half
+    relator subword of the freely reduced word(u)*x can only be a suffix.
 
     The quotient image is a ``bytes`` of the points' images, stepped by x
     with one ``translate`` through x's 256-byte table; the abelian residue
@@ -456,8 +509,11 @@ class ElementTable:
     def __init__(self, p: Presentation, m: DehnMachine, *, vertex_budget: int, seed: int = 0):
         m._require_ok()
         g = len(p.generators)
+        if g > 127:
+            raise ValueError(f"{g} generators; a signed byte holds the letters of at most 127")
         self.p, self.m, self.vertex_budget = p, m, vertex_budget
         self.letters = sorted((s * (gi + 1) for gi in range(g) for s in (1, -1)), key=letter_rank)
+        self.letter_bytes = {x: _code((x,)) for x in self.letters}
         self.perms = _find_finite_quotients(p, seed)
         points = len(next(iter(self.perms.values()), ()))
         if points > 256:
@@ -466,8 +522,8 @@ class ElementTable:
         self.ab_basis = _hnf_rows([_ab_vector(r, g) for r in p.relators], g)
         self.ab_step: dict[int, dict[tuple, tuple]] = {x: {} for x in self.letters}
         self.delta, self.hit = m.automaton()
-        self.words: list[Word] = [Word()]
-        self.vid_of: dict[Word, int] = {Word(): 0}
+        self.words: list[bytes] = [b""]
+        self.vid_of: dict[bytes, int] = {b"": 0}
         self.parent = array("l", [-1])
         self.letter = array("b", [0])
         self.state = array("l", [0])
@@ -501,14 +557,20 @@ class ElementTable:
             if v == last:
                 return
 
-    def _find(self, w: Sequence[int], key: tuple[bytes, tuple]) -> int | None:
-        """The id of the element of the Dehn-reduced word w, keyed ``key``,
-        or None: an exact lookup, then Dehn's algorithm against w's bucket."""
+    def word(self, v: int) -> Word:
+        """The least word of element v."""
+        return _word(self.words[v])
+
+    def _find(self, code: bytes, key: tuple[bytes, tuple]) -> int | None:
+        """The id of the element of the Dehn-reduced word of bytes ``code``,
+        keyed ``key``, or None: an exact lookup, then Dehn's algorithm
+        against the word's bucket."""
         if key not in self.buckets:
             return None  # every element's key is in ``buckets``
-        v = self.vid_of.get(w)
+        v = self.vid_of.get(code)
         if v is None and self.p.relators:
-            v = next((b for b in self.bucket(key) if is_trivial(w + self.words[b].inverse(), self.m)), None)
+            w = _word(code)
+            v = next((b for b in self.bucket(key) if is_trivial(w + self.word(b).inverse(), self.m)), None)
         return v
 
     def step(self, u: int, x: int, make: bool = True) -> int | None:
@@ -519,15 +581,15 @@ class ElementTable:
             return self.parent[u]  # back along u's last letter
         words = self.words
         s = self.delta[self.state[u]][x]
-        cand = words[u] + (x,)  # a plain tuple until it is reduced or made
+        cand = words[u] + self.letter_bytes[x]
         key = self._key_step(self.keys[u], x)
-        v = self._find(dehn_reduce(Word._trusted(cand), self.m) if self.hit[s] else cand, key)
+        v = self._find(_code(dehn_reduce(_word(cand), self.m)) if self.hit[s] else cand, key)
         if v is None and make:
             if len(words) >= self.vertex_budget:
                 raise BudgetExceeded(f"element budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}")
             v = len(words)
-            words.append(Word._trusted(cand))
-            self.vid_of[words[v]] = v
+            words.append(cand)
+            self.vid_of[cand] = v
             self.parent.append(u)
             self.letter.append(x)
             self.state.append(s)
@@ -562,7 +624,7 @@ class ElementTable:
         shortlex-least word.  After a BudgetExceeded the next growth walks
         the unfinished sphere again and finds what it made by lookup."""
         key = self.key(w)
-        v = self._find(w, key)
+        v = self._find(_code(w), key)
         if v is not None:
             return v
         made = len(self.words)
@@ -570,7 +632,7 @@ class ElementTable:
             for _ in self.walk():
                 if len(self.words) > made:
                     made += 1
-                    if self.keys[made - 1] == key and is_trivial(w + self.words[made - 1].inverse(), self.m):
+                    if self.keys[made - 1] == key and is_trivial(w + self.word(made - 1).inverse(), self.m):
                         return made - 1
 
 
@@ -607,12 +669,14 @@ class WordLabels(Mapping):
 def _grow_ball(p: Presentation, m: DehnMachine, radius: int, *, vertex_budget: int, seed: int) -> tuple:
     """The generator moves between the elements of an ElementTable grown
     ``radius`` times: ``(edges, edge_gens, moves, parent, letter,
-    spheres)``, with ``moves[x][u]`` the id of the edge of u*x and the
-    table's shortlex tree and spheres.  The table dies on return."""
+    spheres)``, with ``moves[x][u]`` the id of the edge of u*x (-1 for
+    none) and the table's shortlex tree and spheres.  The table dies on
+    return."""
     table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
     edges: list[tuple[int, int]] = []
-    edge_gens: dict[int, int] = {}
-    moves: dict[int, dict[int, int]] = {x: {} for x in table.letters}
+    edge_gens = array("b")
+    moves = {x: array("l", [-1]) for x in table.letters}  # one slot per element
+    maps = tuple(moves.values())
     # The last pass (level == radius) makes no element: it only closes edges
     # among the boundary vertices, and a move that meets no element leaves
     # the ball.
@@ -620,11 +684,16 @@ def _grow_ball(p: Presentation, m: DehnMachine, radius: int, *, vertex_budget: i
         for u, x, v in table.walk(make=level < radius):
             # u * letter(x) = v, stored in the positive letter direction;
             # the move v * letter(-x) = u is recorded with it
-            if v is None or u in moves[x]:
+            if v is None:
+                continue
+            if v == len(maps[0]):  # v was just made
+                for a in maps:
+                    a.append(-1)
+            elif moves[x][u] >= 0:
                 continue
             eid = len(edges)
             edges.append((u, v) if x > 0 else (v, u))
-            edge_gens[eid] = abs(x) - 1
+            edge_gens.append(abs(x) - 1)
             moves[x][u] = eid
             moves[-x][v] = eid
     return edges, edge_gens, moves, table.parent, table.letter, table.spheres
@@ -632,13 +701,13 @@ def _grow_ball(p: Presentation, m: DehnMachine, radius: int, *, vertex_budget: i
 
 def trace_cells(
     relators: Iterable[Word],
-    moves: Mapping[int, Mapping[int, int]],
+    moves: Mapping[int, Sequence[int]],
     edges: Sequence[tuple[int, int]],
     starts: Sequence[int],
 ) -> list[tuple[Token, ...]]:
     """The relator cycles from each vertex of ``starts`` whose every move
     has an edge (``moves[x][u]``: the id of the edge of u*x, stored u->v
-    for x > 0 and v->u for x < 0), one cell per boundary edge set."""
+    for x > 0 and v->u for x < 0, or -1), one cell per boundary edge set."""
     cells: list[tuple[Token, ...]] = []
     seen: set[frozenset[int]] = set()
     for r in relators:
@@ -647,8 +716,8 @@ def trace_cells(
             cur = v0
             toks: list[Token] = []
             for step, back in steps:
-                eid = step.get(cur)
-                if eid is None:
+                eid = step[cur]
+                if eid < 0:
                     break
                 u, v = edges[eid]
                 toks.append((eid, 1 if u == cur else -1))
@@ -715,6 +784,8 @@ def boundary_word(c: Complex, cid: int) -> Word:
     letters = []
     for eid, d in c.cells[cid]:
         gen = c.edge_gens[eid]
+        if gen < 0:
+            raise BadParams(f"edge {eid} has no generator")
         letters.append((gen + 1) * (1 if d > 0 else -1))
     return Word(letters)
 
@@ -910,8 +981,8 @@ def save_complex(c: Complex) -> str:
             raise ParseError(f"vertex label {lab!r} not serializable")
         lines.append(f"v {vid}" + (f" {lab}" if lab is not None else ""))
     for eid, (u, v) in enumerate(c.edges):
-        gen = c.edge_gens.get(eid)
-        lines.append(f"e {eid} {u} {v}" + (f" {c.generator_names[gen]}" if gen is not None else ""))
+        gen = c.edge_gens[eid]
+        lines.append(f"e {eid} {u} {v}" + (f" {c.generator_names[gen]}" if gen >= 0 else ""))
     for cid, cell in enumerate(c.cells):
         toks = " ".join(str((eid + 1) * d) for eid, d in cell)
         lines.append(f"c {cid} {toks}")
@@ -943,10 +1014,12 @@ def load_complex(text: str) -> Complex:
     nv, ne, nc = _ints(lines[idx], lines[idx].split()[1:], 3)
     idx += 1
     gens = tuple(meta.get("gens", "").split()) if meta.get("gens") else ()
+    if len(gens) > 128:
+        raise ParseError(f"{len(gens)} generators; an edge's generator index is one signed byte")
     gen_index = {name: i for i, name in enumerate(gens)}
     labels: dict[int, str | None] = {}  # None: a vertex line with no label
     edges: list[tuple[int, int]] = []
-    edge_gens: dict[int, int] = {}
+    edge_gens = array("b")
     cells: list[tuple[Token, ...]] = []
     for ln in lines[idx:]:
         parts = ln.split()
@@ -962,10 +1035,9 @@ def load_complex(text: str) -> Complex:
             if eid != len(edges):
                 raise ParseError("edge ids must be consecutive")
             edges.append((u, v))
-            if len(parts) > 4:
-                if parts[4] not in gen_index:
-                    raise ParseError(f"line {ln!r} names an unknown generator")
-                edge_gens[eid] = gen_index[parts[4]]
+            if len(parts) > 4 and parts[4] not in gen_index:
+                raise ParseError(f"line {ln!r} names an unknown generator")
+            edge_gens.append(gen_index[parts[4]] if len(parts) > 4 else -1)
         elif parts[0] == "c":
             vals = _ints(ln, parts[1:], max(1, len(parts) - 1))
             if vals[0] != len(cells):

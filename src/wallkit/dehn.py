@@ -230,4 +230,4 @@ def shortlex_normal_form(w: Word, m: DehnMachine) -> Word:
     if not reduced or not m.presentation.relators:
         return reduced
     table = m.elements()
-    return table.words[table.index(reduced)]
+    return table.word(table.index(reduced))

@@ -18,7 +18,7 @@ from itertools import accumulate, chain, compress, groupby, islice
 from operator import ne
 from typing import Iterable, Iterator, Literal
 
-from .complexes import Complex, bfs, check_geodesic_ends, geodesic_tree
+from .complexes import Adjacency, Complex, adjacency_of, bfs, check_geodesic_ends, geodesic_tree
 from .errors import BadParams, OddCell
 
 
@@ -232,18 +232,18 @@ def spanning_tree(c: Complex) -> SpanningTree:
     nearer vertex 0, the descent rule of ``geodesic_tree``.  BadParams if
     the 1-skeleton is disconnected."""
     adj = c.adjacency()
-    dist, order = bfs(adj, 0) if c.nv else ([], [])
+    nbrs, eids, start = adj.nbrs, adj.eids, adj.start
+    dist, order = bfs(nbrs, 0) if c.nv else ([], [])
     if len(order) < c.nv:
         raise BadParams(f"1-skeleton is disconnected: vertex {dist.index(-1)} is not reached from vertex 0")
     parent = array("l", [-1]) * c.nv
     parent_edge = array("l", [-1]) * c.nv
     for v in islice(order, 1, None):
-        below = dist[v] - 1
-        for w, eid in adj[v]:  # in increasing edge id
-            if dist[w] == below:
-                break
-        parent[v] = w
-        parent_edge[v] = eid
+        below, nb, i = dist[v] - 1, nbrs[v], 0
+        while dist[nb[i]] != below:  # in increasing edge id
+            i += 1
+        parent[v] = nb[i]
+        parent_edge[v] = eids[start[v] + i]
     del dist  # not read again: the arrays below need not share the peak with it
     size = array("l", [1]) * c.nv
     for v in reversed(order):
@@ -429,14 +429,16 @@ def _cone_exit(c: Complex, carrier_es: frozenset[int], du: list[int], u: int, v:
     toward v; ``du`` holds u's distances at least up to v's level, and the
     caller knows such an edge exists."""
     adj = c.adjacency()
-    dv, _ = bfs(adj, v, (u,))
+    nbrs, eids, start = adj.nbrs, adj.eids, adj.start
+    dv, _ = bfs(nbrs, v, (u,))
     D = du[v]
     frontier = {u}
     for _ in range(D):
         nxt: set[int] = set()
         for x in frontier:
-            for y, eid in adj[x]:
+            for i, y in enumerate(nbrs[x]):
                 if du[x] + 1 == du[y] and du[y] + dv[y] == D:
+                    eid = eids[start[x] + i]
                     if eid not in carrier_es:
                         return eid
                     nxt.add(y)
@@ -473,27 +475,29 @@ def _convexity(
     """(passed, witness) of ``hypercarrier_check`` for one carrier."""
     vs = sorted(carrier_vs)
     adj = c.adjacency()
+    nbrs, eids, start = adj.nbrs, adj.eids, adj.start
     if not strict:
         inner: list = [()] * c.nv  # the carrier's edges alone
         for v in vs:
             inner[v] = []
         for eid in carrier_es:
             a, b = c.edges[eid]
-            inner[a].append((b, eid))
-            inner[b].append((a, eid))
+            inner[a].append(b)
+            inner[b].append(a)
     for i, u in enumerate(vs[:-1]):
         later = vs[i + 1:]
-        dist, order = bfs(adj, u, later)
+        dist, order = bfs(nbrs, u, later)
         if strict:
             # a vertex is tainted when some geodesic from u reaches it
             # through an edge outside the carrier
             tainted: set[int] = set()
             for y in islice(order, 1, None):
-                below = dist[y] - 1
-                for x, eid in adj[y]:
-                    if dist[x] == below and (x in tainted or eid not in carrier_es):
+                below, j = dist[y] - 1, start[y]
+                for x in nbrs[y]:
+                    if dist[x] == below and (x in tainted or eids[j] not in carrier_es):
                         tainted.add(y)
                         break
+                    j += 1
             bad = next((v for v in later if v in tainted), None)
             if bad is not None:
                 return False, (u, bad, _cone_exit(c, carrier_es, dist, u, bad))
@@ -519,14 +523,14 @@ class HangingForest:
     vertex its tree hangs from (a component that is all tree keeps its last
     vertex as its root); ``depth`` counts the edges up to the root.  A core
     vertex is its own root at depth 0, with parent -1.  ``core`` is the
-    core's adjacency in increasing edge id, empty at peeled vertices; when
-    nothing is peeled it is the complex's own adjacency.
+    Adjacency of the core's edges, with no neighbours at peeled vertices;
+    when nothing is peeled it is the complex's own adjacency.
     """
 
     parent: array
     depth: array
     root: array
-    core: list[list[tuple[int, int]]]
+    core: Adjacency
 
 
 def hanging_forest(ws: WallSystem) -> HangingForest:
@@ -535,22 +539,25 @@ def hanging_forest(ws: WallSystem) -> HangingForest:
     geodesic, so its vertex stays in the core."""
     c = ws.complex
     adj = c.adjacency()
+    nbrs, eids, start = adj.nbrs, adj.eids, adj.start
     size, wall_of_edge = ws.walls.size, ws.wall_of_edge
-    deg = array("l", map(len, adj))
+    deg = array("l", map(len, nbrs))
     parent = array("l", [-1]) * c.nv
-    peeled_edge = bytearray(len(c.edges))
+    core_edge = bytearray(b"\1") * len(c.edges)
     order = array("l")
     stack = [v for v in range(c.nv) if deg[v] == 1]
     while stack:
         v = stack.pop()
         if deg[v] != 1:  # its last neighbour was peeled before it
             continue
-        for w, eid in adj[v]:
-            if not peeled_edge[eid]:
-                break
+        i = s = start[v]
+        while not core_edge[eids[i]]:
+            i += 1
+        eid = eids[i]
         if size(wall_of_edge[eid]) > 1:
             continue
-        peeled_edge[eid] = 1
+        w = nbrs[v][i - s]
+        core_edge[eid] = 0
         deg[v] = 0
         deg[w] -= 1
         parent[v] = w
@@ -565,11 +572,7 @@ def hanging_forest(ws: WallSystem) -> HangingForest:
         depth[v] = depth[p] + 1
     if not order:
         return HangingForest(parent, depth, root, adj)
-    core: list = [[] if root[v] == v else () for v in range(c.nv)]
-    for eid, (u, v) in enumerate(c.edges):
-        if not peeled_edge[eid]:
-            core[u].append((v, eid))
-            core[v].append((u, eid))
+    core = adjacency_of(c.nv, c.edges, array("l", compress(range(len(c.edges)), core_edge)))
     return HangingForest(parent, depth, root, core)
 
 
@@ -629,9 +632,7 @@ def geodesic_crossings(c: Complex, ws: WallSystem, q: int, targets: Iterable[int
     return out
 
 
-def _core_crossings(
-    ws: WallSystem, core: list[list[tuple[int, int]]], q: int, targets: set[int]
-) -> dict[int, tuple[int, int, int]]:
+def _core_crossings(ws: WallSystem, core: Adjacency, q: int, targets: set[int]) -> dict[int, tuple[int, int, int]]:
     """``(d, dw, in_a)`` of the lex-least core geodesic from each target to
     q, from one walk of their geodesic tree with running per-wall crossing
     counts."""

@@ -7,6 +7,7 @@ library's piece/wall machinery beyond its result containers.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -478,7 +479,7 @@ def component_labels(c, removed: frozenset[int]) -> tuple[list[int], int]:
     removed, numbered by least vertex, and the number of components (one
     BFS from each unlabelled vertex)."""
     label = [-1] * c.nv
-    adj = c.adjacency()
+    adj = pair_adjacency(c)
     count = 0
     for start in range(c.nv):
         if label[start] >= 0:
@@ -498,7 +499,7 @@ def component_labels(c, removed: frozenset[int]) -> tuple[list[int], int]:
 
 def bridges(c) -> set[int]:
     """Edge ids whose removal disconnects the 1-skeleton (iterative Tarjan)."""
-    adj = c.adjacency()
+    adj = pair_adjacency(c)
     disc = [-1] * c.nv
     low = [0] * c.nv
     out: set[int] = set()
@@ -546,7 +547,7 @@ def pairwise_hypercarrier_check(ws, wid: int, *, strict: bool = True) -> Convexi
     carrier_es = {eid for cid in cells for eid, _ in c.cells[cid]} or set(ws.walls[wid])
     vs = sorted({x for eid in carrier_es for x in c.edges[eid]})
     dist_maps = {v: c.bfs_distances(v) for v in vs}
-    adj = c.adjacency()
+    adj = pair_adjacency(c)
     pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
     for u, v in pairs:
         du, dv = dist_maps[u], dist_maps[v]
@@ -589,7 +590,7 @@ def greedy_geodesic(c, p, q, dq) -> list[int]:
     """Edge ids of the lexicographically least shortest p->q path, walked
     greedily from p over the full distances dq to q: at each step the least
     edge id into the next level."""
-    adj = c.adjacency()
+    adj = pair_adjacency(c)
     path: list[int] = []
     cur = p
     while cur != q:
@@ -619,6 +620,22 @@ def per_pair_sweep(c, ws, pairs) -> list[PairRow]:
 
 
 # -- graph search --------------------------------------------------------------
+
+
+_PAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def pair_adjacency(c) -> list[list[tuple[int, int]]]:
+    """Each vertex's ``(neighbour, edge id)`` pairs in increasing edge id,
+    read from ``c.edges`` alone (a loop is listed twice); built once per
+    complex."""
+    adj = _PAIRS.get(c)
+    if adj is None:
+        adj = _PAIRS[c] = [[] for _ in range(c.nv)]
+        for eid, (u, v) in enumerate(c.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    return adj
 
 
 def deque_bfs_distances(adj, src: int) -> list[int]:

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 import warnings
 import weakref
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from wallkit.complexes import (
     subdivide,
     validity_summary,
 )
-from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words, shortlex_key
+from wallkit.dehn import DehnMachine, dehn_reduce, is_trivial, iter_reduced_words, shortlex_key, shortlex_normal_form
 from wallkit.errors import BadParams, BudgetExceeded, NotSmallCancellation, ParseError
 from wallkit.presentation import Presentation, gen_example, parse_presentation
 from wallkit.words import Word, render, symmetrize
@@ -79,7 +80,7 @@ def test_bfs_rejects_a_source_outside_the_vertices():
         with pytest.raises(BadParams, match=f"no vertex {src}: ids run 0..{c.nv - 1}"):
             c.bfs_distances(src)
         with pytest.raises(BadParams, match=f"no vertex {src}"):
-            bfs(c.adjacency(), src, (0,))
+            bfs(c.adjacency().nbrs, src, (0,))
 
 
 def test_ball_boundary_words_are_relator_cycles(one, ball7):
@@ -219,6 +220,18 @@ def test_element_table_refuses_more_quotient_points_than_a_byte_holds(monkeypatc
         build_cayley_ball(p, DehnMachine(p), 2)
 
 
+def test_words_and_edge_generators_refuse_more_generators_than_a_byte_holds():
+    # a table word has one signed byte per letter, and edge_gens one per edge
+    names = tuple(f"g{i}" for i in range(129))
+    p = gen_example("free", generators=names[:128])
+    with pytest.raises(ValueError, match="128 generators"):
+        complexes.ElementTable(p, DehnMachine(p), vertex_budget=10)
+    text = "wallkit-complex 1\nmeta gens {}\ncounts 2 1 0\ne 0 0 1 g127\n"
+    with pytest.raises(ParseError, match="129 generators"):
+        load_complex(text.format(" ".join(names)))
+    assert load_complex(text.format(" ".join(names[:128]))).edge_gens.tolist() == [127]
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -290,7 +303,7 @@ def test_bucket_chains_under_forced_collisions(monkeypatch):
     v = table.index(w)
     del calls[:]
     assert table.index(w) == table.index(w2) == v and calls  # w by a bucket probe
-    assert table.words[v] == shortlex_search(w, DehnMachine(p)) == min(w, w2, key=shortlex_key)
+    assert table.word(v) == shortlex_search(w, DehnMachine(p)) == min(w, w2, key=shortlex_key)
     assert len(set(table.words)) == len(table.words)
     by_key: dict = {}
     for u, key in enumerate(table.keys):
@@ -335,14 +348,40 @@ def test_step_lands_by_dehn_reduction_and_by_bucket_probe(monkeypatch):
         for _ in table.walk():
             pass
     stored, other = sorted([Word((1, 2) * 3 + (1,)), Word((-2, -1) * 3 + (-2,))], key=shortlex_key)
-    assert other not in table.vid_of
+    vid = {table.word(v): v for v in range(len(table.words))}
+    assert other not in vid
     calls = []
     monkeypatch.setattr(complexes, "is_trivial", lambda w, m: calls.append(w) or is_trivial(w, m))
-    assert table.step(table.vid_of[other[:-1]], other[-1], make=False) == table.vid_of[stored] and calls
+    assert table.step(vid[other[:-1]], other[-1], make=False) == vid[stored] and calls
     del calls[:]
     ab4 = Word((1, 2) * 4)
-    assert table.step(table.vid_of[ab4[:-1]], 2, make=False) == table.vid_of[dehn_reduce(ab4, table.m)]
+    assert table.step(vid[ab4[:-1]], 2, make=False) == vid[dehn_reduce(ab4, table.m)]
     assert not calls
+
+
+def test_table_word_is_the_shortlex_tree_spelling():
+    # each element's bytes decode to the word its parent and letter spell;
+    # a stored word is its own normal form, and a geodesic that ties with
+    # one has that one as its normal form, as the search oracle finds
+    p = gen_example("tv", I={1, 2}, k=7)
+    m = DehnMachine(p)
+    table = complexes.ElementTable(p, m, vertex_budget=100_000, seed=0)
+    for _ in range(7):
+        for _ in table.walk():
+            pass
+    spelled = [Word()]
+    for v in range(1, len(table.words)):
+        spelled.append(Word(spelled[table.parent[v]] + (table.letter[v],)))
+    assert len(spelled) == 4371
+    for v, w in enumerate(spelled):
+        assert type(table.word(v)) is Word and table.word(v) == w, v
+        assert len(table.words[v]) == len(w) and table.vid_of[table.words[v]] == v
+    rng = random.Random(7)
+    for v in rng.sample(range(table.spheres[5], len(spelled)), 6):
+        w = table.word(v)
+        assert shortlex_normal_form(w, m) == shortlex_search(w, m) == w
+    other = Word((-2, -1) * 3 + (-2,))
+    assert shortlex_normal_form(other, m) == shortlex_search(other, m) == table.word(table.index(other)) != other
 
 
 def test_step_past_the_budget_stores_nothing():
@@ -355,7 +394,7 @@ def test_step_past_the_budget_stores_nothing():
     assert [len(a) for a in _table_arrays(table)] == sizes
     assert table.step(1, 1, make=False) is None
     table.vertex_budget = 6
-    assert table.step(1, 1) == 5 and table.words[5] == table.words[1] + (1,)
+    assert table.step(1, 1) == 5 and table.word(5) == table.word(1) + (1,)
 
 
 def test_ball_build_memory_is_bounded():
@@ -379,6 +418,26 @@ def test_ball_build_memory_is_bounded():
     assert c.nv == 13107
     assert peak - base < 11 * 2**20, peak - base
     assert held - base < 6 * 2**20, held - base
+
+
+def test_adjacency_memory_per_edge_end_is_bounded():
+    # radius-7 tv{1,2} k=7 (4,371 vertices, 4,372 edges) under tracemalloc:
+    # a neighbour tuple per vertex and the edge ids in one array hold about
+    # 45 B per edge end; a (neighbour, edge id) tuple per edge end held
+    # about 117 B.
+    p = gen_example("tv", I={1, 2}, k=7)
+    ball = build_cayley_ball(p, DehnMachine(p), 7)
+    c = Complex(ball.edges, ball.cells, ball.nv)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        adj = c.adjacency()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(adj.eids) == 2 * len(c.edges) == 8744
+    assert held - base <= 56 * len(adj.eids), (held - base) / len(adj.eids)
 
 
 def test_element_table_dies_before_the_complex_is_checked(monkeypatch):
@@ -840,6 +899,33 @@ def test_ball_labels_render_on_first_read(relator, monkeypatch):
 
 
 # -- file round trip -----------------------------------------------------------------
+
+
+def test_edge_gens_is_one_signed_byte_array_from_every_constructor():
+    two = gen_example("tv", I={1, 2}, k=7)
+    ball = build_cayley_ball(two, DehnMachine(two), 7)
+    theta = build_example1([1, 2])  # through _Builder
+    built = {
+        "ball": ball,
+        "subdivided": subdivide(ball),
+        "builder": theta,
+        "loaded ball": load_complex(save_complex(ball)),
+        "loaded builder": load_complex(save_complex(theta)),
+        "direct": Complex([(0, 1)], [], 2),
+    }
+    for name, c in built.items():
+        assert type(c.edge_gens) is array and c.edge_gens.typecode == "b", name
+        assert len(c.edge_gens) == len(c.edges), name
+    assert set(ball.edge_gens) == {0, 1}
+    assert set(built["subdivided"].edge_gens) == set(theta.edge_gens) == set(built["direct"].edge_gens) == {-1}
+    assert built["loaded ball"].edge_gens == ball.edge_gens
+    assert built["loaded builder"].edge_gens == theta.edge_gens
+    sym = symmetrize(two.relators)  # every rotation of a relator and of its inverse
+    assert all(boundary_word(ball, cid) in sym for cid in range(len(ball.cells)))
+    with pytest.raises(BadParams, match="edge 0 has no generator"):
+        boundary_word(theta, 0)
+    with pytest.raises(ParseError, match="0 edge generators for 1 edges"):
+        Complex([(0, 1)], [], 2, edge_gens=array("b")).validate()
 
 
 def test_roundtrip_ball(ball7):

@@ -464,7 +464,8 @@ def test_budget_leaves_the_element_table_exact():
     assert shortlex_normal_form(one.word("a b"), m) == one.word("ab")
     with pytest.raises(BudgetExceeded):
         shortlex_normal_form(one.word("(ab)^4 a"), m)
-    words = m.elements().words
+    table = m.elements()
+    words = [table.word(v) for v in range(len(table.words))]
     assert len(words) == 60 and len(set(words)) == 60
     assert [len(w) for w in words] == sorted(len(w) for w in words)
 
@@ -531,7 +532,8 @@ def _grown_table(m, radius, seed):
 
 def _assert_keys_match_oracle(table):
     assert len(table.keys) == len(table.words)
-    for v, w in enumerate(table.words):
+    for v in range(len(table.words)):
+        w = table.word(v)
         image, residue = table.keys[v]
         assert (tuple(image), residue) == bucket_key(table.perms, table.ab_basis, w), w
 

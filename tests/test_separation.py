@@ -79,7 +79,8 @@ def test_geodesic_deterministic_lex_least():
     # lexicographically least among the shortest edge sequences: the first
     # edge is the least progressing edge id out of a1
     dq = c.bfs_distances(e)
-    firsts = [eid for (v, eid) in c.adjacency()[a] if dq[v] == dq[a] - 1]
+    adj = c.adjacency()
+    firsts = [adj.eids[adj.start[a] + i] for i, v in enumerate(adj.nbrs[a]) if dq[v] == dq[a] - 1]
     assert p1[0] == min(firsts)
 
 
@@ -534,7 +535,7 @@ def test_margin_ball_forest_has_one_root():
     f = hanging_forest(ws)
     (root,) = {f.root[v] for v in range(c.nv)}
     assert f.depth[root] == 0 and f.parent[root] == -1
-    assert f.core[root] == [] and all(not adj for adj in f.core)
+    assert f.core.nbrs[root] == () and not any(f.core.nbrs) and not f.core.eids
 
 
 def _pendant_cell():

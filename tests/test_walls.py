@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bridges, component_labels, deque_bfs_distances, group_walls, pairwise_hypercarrier_check
+from oracles import (
+    bridges,
+    component_labels,
+    deque_bfs_distances,
+    group_walls,
+    pair_adjacency,
+    pairwise_hypercarrier_check,
+)
 from wallkit.complexes import (
     Complex,
     bfs,
@@ -339,23 +346,49 @@ def test_two_sidedness_counts_match_component_labels_random(graph):
 # -- breadth-first search and the spanning tree -------------------------------------
 
 
+def _assert_adjacency_matches_pairs(c):
+    # the neighbour tuples and the edge ids at their offsets, zipped, are
+    # the (neighbour, edge id) pairs read from the edge list
+    adj, pairs = c.adjacency(), pair_adjacency(c)
+    assert len(adj.nbrs) == c.nv and len(adj.start) == c.nv + 1
+    assert adj.start[0] == 0 and adj.start[c.nv] == len(adj.eids) == 2 * len(c.edges)
+    for v in range(c.nv):
+        s, nb = adj.start[v], adj.nbrs[v]
+        assert type(nb) is tuple and adj.start[v + 1] == s + len(nb)
+        assert list(zip(nb, adj.eids[s:s + len(nb)])) == pairs[v], v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_with_walls())
+@example((Complex([(1, 1), (0, 1), (1, 1)], [], 3), [0, 1, 2]))  # loops, and a vertex with no edge
+def test_adjacency_matches_pairs_oracle_random(graph):
+    _assert_adjacency_matches_pairs(graph[0])
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: _tv12_ball(6), lambda: _tv12_ball(7), _open_14_path], ids=["tv12-r6", "tv12-r7", "open-14-path"]
+)
+def test_adjacency_matches_pairs_oracle_on_balls(build):
+    _assert_adjacency_matches_pairs(build())
+
+
 @settings(max_examples=200, deadline=None)
 @given(_graph_with_walls(), st.data())
 def test_bfs_matches_deque_oracle(graph, data):
     c, _ = graph
-    adj = c.adjacency()
+    pairs, nbrs = pair_adjacency(c), c.adjacency().nbrs
     for src in range(c.nv):
-        want = deque_bfs_distances(adj, src)
-        dist, order = bfs(adj, src)
+        want = deque_bfs_distances(pairs, src)
+        dist, order = bfs(nbrs, src)
         assert dist == want
         # the reached vertices, level by level
         assert sorted(order) == [v for v in range(c.nv) if want[v] >= 0]
         assert [dist[v] for v in order] == sorted(want[v] for v in order)
     src = data.draw(st.integers(0, c.nv - 1), label="src")
-    want = deque_bfs_distances(adj, src)
+    want = deque_bfs_distances(pairs, src)
     reached = [v for v in range(c.nv) if want[v] >= 0]
     targets = data.draw(st.sets(st.sampled_from(reached), min_size=1), label="targets")
-    dist, order = bfs(adj, src, targets)
+    dist, order = bfs(nbrs, src, targets)
     far = max(want[t] for t in targets)
     for v in range(c.nv):
         if v in targets or want[v] < far:
@@ -367,11 +400,11 @@ def test_bfs_matches_deque_oracle(graph, data):
 
 def test_bfs_stops_at_a_near_target():
     c = _tv12_ball(6)
-    adj = c.adjacency()
-    near = adj[0][0][0]
-    dist, order = bfs(adj, 0, (near,))
+    nbrs = c.adjacency().nbrs
+    near = nbrs[0][0]
+    dist, order = bfs(nbrs, 0, (near,))
     assert dist[near] == 1 and len(order) < c.nv
-    assert bfs(adj, 0)[0] == deque_bfs_distances(adj, 0) == c.dist
+    assert bfs(nbrs, 0)[0] == deque_bfs_distances(pair_adjacency(c), 0) == c.dist
 
 
 def _tree_path(t, v):
@@ -411,7 +444,7 @@ def test_spanning_tree_is_the_lex_least_geodesic_tree(build):
 @example((Complex([(2, 3), (0, 1), (0, 2), (1, 3)], [], 4), [0, 1, 2, 3]))
 def test_spanning_tree_is_the_lex_least_geodesic_tree_random(graph):
     c, _ = graph  # the strategy shuffles the edge ids
-    if min(deque_bfs_distances(c.adjacency(), 0)) < 0:
+    if min(deque_bfs_distances(pair_adjacency(c), 0)) < 0:
         return  # disconnected: no spanning tree
     _assert_lex_least_geodesic_tree(c)
 
