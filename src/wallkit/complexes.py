@@ -436,8 +436,6 @@ def _find_finite_quotients(p: Presentation, seed: int) -> dict[int, tuple[int, .
     """
     g = len(p.generators)
     union: dict[int, list[int]] = {s * (gi + 1): [] for gi in range(g) for s in (1, -1)}
-    if not p.relators:
-        return {x: () for x in union}
     total_len = sum(len(r) for r in p.relators)
     tries = max(200, min(QUOTIENT_TRIES, 4_000_000 // max(1, total_len)))
     powers = {len(r) // r.primitive_period() for r in p.relators}
@@ -478,23 +476,27 @@ def _word(code: bytes) -> Word:
 
 class ElementTable:
     """The elements of a 1/6 presentation's group, numbered in shortlex
-    order of their least words: sphere k is ids ``spheres[k]`` up to
-    ``spheres[k + 1]``.
+    order of their least words, and the moves between them: sphere k is
+    ids ``spheres[k]`` up to ``spheres[k + 1]``.
 
     Element v keeps its least word as bytes, ``words[v]``, one signed byte
-    per letter (``vid_of`` maps the bytes back, and ``word(v)`` is the
-    Word), the move that made it, ``parent[v] * letter[v]`` (the shortlex tree,
-    which is all a Cayley ball keeps of the table), its automaton state,
-    and its bucket key: its image in a few finite
-    quotients that the seed picks, and its abelianization class.
-    ``step(u, x)`` is the table's one move, and ``walk``, ``index`` and
-    ``key`` go through its parts: u*x lands on the element of its Dehn
-    reduction, or else on one that shares its key and that Dehn's
-    algorithm proves equal to it, so the seed changes how many candidates
-    are probed, never the table.  Step runs Dehn's algorithm only when one
-    automaton step from u's state hits, on the premise that ``word(u)`` is
-    Dehn-reduced (here because stored words are geodesic): then a >half
-    relator subword of the freely reduced word(u)*x can only be a suffix.
+    per letter (``word(v)`` is the Word), the move that made it,
+    ``parent[v] * letter[v]`` (the shortlex tree), its automaton state,
+    and its bucket key: its image in a few finite quotients that the seed
+    picks, and its abelianization class.  ``step(u, x)`` is the table's
+    one move, and ``walk``, ``index`` and ``key`` go through its parts:
+    u*x lands on the element of its Dehn reduction, or else on one that
+    shares its key and that Dehn's algorithm proves equal to it, so the
+    seed changes how many candidates are probed, never the table.  Step
+    runs Dehn's algorithm only when one automaton step from u's state
+    hits, on the premise that ``word(u)`` is Dehn-reduced (here because
+    stored words are geodesic): then a >half relator subword of the freely
+    reduced word(u)*x can only be a suffix.
+
+    Each move that step resolves is an edge, recorded once: ``edges[e]``
+    is stored u->v for x > 0 and v->u for x < 0, ``edge_gens[e]`` is
+    abs(x) - 1, and ``moves[x][u]`` is the id of the edge of u*x, -1 until
+    it is met.  A Cayley ball is the shortlex tree, the spheres and these.
 
     The quotient image is a ``bytes`` of the points' images, stepped by x
     with one ``translate`` through x's 256-byte table; the abelian residue
@@ -503,7 +505,8 @@ class ElementTable:
     The ids that share a key form a ring in ``chain``: ``buckets`` maps the
     key to its last id, and ``chain[v]`` is the next id after v, the first
     after the last.  A new id joins at the end in O(1), and ``bucket``
-    reads the ring in ascending order, so probes go oldest first.
+    reads the ring in ascending order, so probes go oldest first.  The
+    ring is the table's one index: a word is found by its key's ring.
     """
 
     def __init__(self, p: Presentation, m: DehnMachine, *, vertex_budget: int, seed: int = 0):
@@ -523,7 +526,6 @@ class ElementTable:
         self.ab_step: dict[int, dict[tuple, tuple]] = {x: {} for x in self.letters}
         self.delta, self.hit = m.automaton()
         self.words: list[bytes] = [b""]
-        self.vid_of: dict[bytes, int] = {b"": 0}
         self.parent = array("l", [-1])
         self.letter = array("b", [0])
         self.state = array("l", [0])
@@ -532,6 +534,9 @@ class ElementTable:
         self.buckets: dict[tuple[bytes, tuple], int] = {self.keys[0]: 0}
         self.chain = array("l", [0])
         self.spheres = [0, 1]
+        self.edges: list[tuple[int, int]] = []
+        self.edge_gens = array("b")
+        self.moves = {x: array("l", [-1]) for x in self.letters}  # one slot per element
 
     def _key_step(self, key: tuple[bytes, tuple], x: int) -> tuple[bytes, tuple]:
         """The bucket key of an element keyed ``key``, times x: the image
@@ -563,33 +568,43 @@ class ElementTable:
 
     def _find(self, code: bytes, key: tuple[bytes, tuple]) -> int | None:
         """The id of the element of the Dehn-reduced word of bytes ``code``,
-        keyed ``key``, or None: an exact lookup, then Dehn's algorithm
-        against the word's bucket."""
-        if key not in self.buckets:
+        keyed ``key``, or None: an element of the key's ring that stores
+        ``code``, else one that Dehn's algorithm proves equal to it."""
+        last = self.buckets.get(key)
+        if last is None:
             return None  # every element's key is in ``buckets``
-        v = self.vid_of.get(code)
-        if v is None and self.p.relators:
-            w = _word(code)
-            v = next((b for b in self.bucket(key) if is_trivial(w + self.word(b).inverse(), self.m)), None)
-        return v
+        words, chain, v = self.words, self.chain, last
+        while True:  # once round the ring
+            if words[v] == code:
+                return v
+            v = chain[v]
+            if v == last:
+                break
+        if not self.p.relators:
+            return None
+        w = _word(code)
+        return next((b for b in self.bucket(key) if is_trivial(w + self.word(b).inverse(), self.m)), None)
 
     def step(self, u: int, x: int, make: bool = True) -> int | None:
-        """The id of the element of u*x.  With ``make`` an element not in
-        the table is made, the last id, with u*x as its word (else None);
-        past the vertex budget BudgetExceeded comes before any store."""
+        """The id of the element of u*x, the move recorded as an edge if
+        it is new.  With ``make`` an element not in the table is made, the
+        last id, with u*x as its word; without, None comes back for it,
+        but a move to an element is still recorded.  Past the vertex
+        budget BudgetExceeded comes before any store."""
         if x == -self.letter[u]:
-            return self.parent[u]  # back along u's last letter
+            return self.parent[u]  # back along u's last letter, recorded with it
         words = self.words
         s = self.delta[self.state[u]][x]
         cand = words[u] + self.letter_bytes[x]
         key = self._key_step(self.keys[u], x)
         v = self._find(_code(dehn_reduce(_word(cand), self.m)) if self.hit[s] else cand, key)
-        if v is None and make:
+        if v is None:
+            if not make:
+                return None
             if len(words) >= self.vertex_budget:
                 raise BudgetExceeded(f"element budget {self.vertex_budget} exhausted at radius {len(self.spheres) - 1}")
             v = len(words)
             words.append(cand)
-            self.vid_of[cand] = v
             self.parent.append(u)
             self.letter.append(x)
             self.state.append(s)
@@ -598,6 +613,15 @@ class ElementTable:
             chain.append(v)
             chain[v], chain[last] = chain[last], v  # v joins the ring after its last id
             self.buckets[key] = v
+            for a in self.moves.values():
+                a.append(-1)
+        elif self.moves[x][u] >= 0:
+            return v
+        # a new move, as every move onto a new element is; v * -x = u is it too
+        eid = len(self.edges)
+        self.edges.append((u, v) if x > 0 else (v, u))
+        self.edge_gens.append(abs(x) - 1)
+        self.moves[x][u] = self.moves[-x][v] = eid
         return v
 
     def walk(self, make: bool = True) -> Iterator[tuple[int, int, int | None]]:
@@ -666,39 +690,6 @@ class WordLabels(Mapping):
         return len(self._rendered())
 
 
-def _grow_ball(p: Presentation, m: DehnMachine, radius: int, *, vertex_budget: int, seed: int) -> tuple:
-    """The generator moves between the elements of an ElementTable grown
-    ``radius`` times: ``(edges, edge_gens, moves, parent, letter,
-    spheres)``, with ``moves[x][u]`` the id of the edge of u*x (-1 for
-    none) and the table's shortlex tree and spheres.  The table dies on
-    return."""
-    table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
-    edges: list[tuple[int, int]] = []
-    edge_gens = array("b")
-    moves = {x: array("l", [-1]) for x in table.letters}  # one slot per element
-    maps = tuple(moves.values())
-    # The last pass (level == radius) makes no element: it only closes edges
-    # among the boundary vertices, and a move that meets no element leaves
-    # the ball.
-    for level in range(radius + 1):
-        for u, x, v in table.walk(make=level < radius):
-            # u * letter(x) = v, stored in the positive letter direction;
-            # the move v * letter(-x) = u is recorded with it
-            if v is None:
-                continue
-            if v == len(maps[0]):  # v was just made
-                for a in maps:
-                    a.append(-1)
-            elif moves[x][u] >= 0:
-                continue
-            eid = len(edges)
-            edges.append((u, v) if x > 0 else (v, u))
-            edge_gens.append(abs(x) - 1)
-            moves[x][u] = eid
-            moves[-x][v] = eid
-    return edges, edge_gens, moves, table.parent, table.letter, table.spheres
-
-
 def trace_cells(
     relators: Iterable[Word],
     moves: Mapping[int, Sequence[int]],
@@ -744,16 +735,21 @@ def build_cayley_ball(
     them, cells are relator cycles lying entirely inside the ball.  The
     seed picks the table's quotients, so it never changes the ball.
 
-    Of the table the ball keeps its shortlex tree, for the labels, and its
-    spheres, for the distances; the table and the move maps are gone
-    before the complex is checked.  Auto-subdivides if any attached cell
-    has odd length.
+    Of the table the ball keeps its edges, shortlex tree (for the labels)
+    and spheres (for the distances); its last walk makes no element and
+    only records moves inside the outer sphere.  The table is gone before
+    the cells are traced, the move maps before the complex is checked.
+    Auto-subdivides if any attached cell has odd length.
     """
     if radius < 1:
         raise BadParams("radius must be >= 1")
-    edges, edge_gens, moves, parent, letter, spheres = _grow_ball(
-        p, m, radius, vertex_budget=vertex_budget, seed=seed
-    )
+    table = ElementTable(p, m, vertex_budget=vertex_budget, seed=seed)
+    for level in range(radius + 1):
+        for _ in table.walk(make=level < radius):
+            pass
+    edges, edge_gens, moves = table.edges, table.edge_gens, table.moves
+    parent, letter, spheres = table.parent, table.letter, table.spheres
+    del table
     nv = len(parent)
     cells = trace_cells(p.relators, moves, edges, range(nv))
     del moves  # the largest structure left: free it before the adjacency is built

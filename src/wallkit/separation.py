@@ -338,8 +338,8 @@ def admissible_lambda(lam: Fraction) -> Fraction:
 
 
 def separation_constant(lam: Fraction) -> Fraction:
-    lam = Fraction(lam)
-    return (1 - 6 * lam + 4 * lam * lam) / (2 - 4 * lam)
+    """Half the density threshold: (1 - 6 lam + 4 lam^2) / (2 - 4 lam)."""
+    return density_threshold(lam) / 2
 
 
 @dataclass

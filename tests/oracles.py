@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -262,6 +263,33 @@ def bucket_key(perms: dict[int, tuple[int, ...]], ab_basis, w) -> tuple[tuple[in
     for x in w:
         image = tuple(map(perms[x].__getitem__, image))
     return image, _ab_residue(_ab_vector(w, len(perms) // 2), ab_basis)
+
+
+def walked_moves(table, radius: int) -> tuple:
+    """Grow ``table`` radius times, then walk its outer sphere once more
+    without growth, and record each move from walk()'s yields alone:
+    ``(edges, edge_gens, moves)``, an edge per new move u*x = v, stored
+    u->v for x > 0 and v->u for x < 0, with ``moves[x][u]`` and
+    ``moves[-x][v]`` its id (-1 for none)."""
+    edges: list[tuple[int, int]] = []
+    edge_gens = array("b")
+    moves = {x: array("l", [-1]) for x in table.letters}
+    maps = tuple(moves.values())
+    for level in range(radius + 1):
+        for u, x, v in table.walk(make=level < radius):
+            if v is None:
+                continue
+            if v == len(maps[0]):  # v was just made
+                for a in maps:
+                    a.append(-1)
+            elif moves[x][u] >= 0:
+                continue
+            eid = len(edges)
+            edges.append((u, v) if x > 0 else (v, u))
+            edge_gens.append(abs(x) - 1)
+            moves[x][u] = eid
+            moves[-x][v] = eid
+    return edges, edge_gens, moves
 
 
 # -- free-product normal form for one-relator powers ---------------------------

@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_b6, brute_force_cell_pieces, free_product_nf, gf2_rank_sorted, shortlex_search
+from oracles import (
+    brute_force_b6,
+    brute_force_cell_pieces,
+    free_product_nf,
+    gf2_rank_sorted,
+    shortlex_search,
+    walked_moves,
+)
 from wallkit import complexes
 from wallkit.complexes import (
     Complex,
@@ -50,6 +57,18 @@ def test_free_ball_counts():
     c = build_cayley_ball(free, DehnMachine(free), 2)
     assert (c.nv, len(c.edges), len(c.cells)) == (17, 16, 0)
     assert sorted(c.dist) == [0] + [1] * 4 + [2] * 12
+
+
+def test_free_table_keys_split_by_quotients():
+    # a presentation with no relators gets quotients too: with none, a key
+    # is the abelian class alone (85 keys at radius 6), and a lookup reads
+    # its class's whole bucket ring
+    free = gen_example("free")
+    table = complexes.ElementTable(free, DehnMachine(free), vertex_budget=100_000, seed=0)
+    for _ in range(6):
+        for _ in table.walk():
+            pass
+    assert len(table.words) == 1457 and len(table.buckets) > 1000
 
 
 def test_small_radius_has_no_cells(one):
@@ -313,7 +332,10 @@ def test_bucket_chains_under_forced_collisions(monkeypatch):
 
 
 def _table_arrays(table):
-    return (table.words, table.keys, table.chain, table.parent, table.letter, table.state, table.vid_of, table.buckets)
+    return (
+        table.words, table.keys, table.chain, table.parent, table.letter, table.state, table.buckets,
+        table.edges, table.edge_gens, *table.moves.values(),
+    )
 
 
 @pytest.mark.parametrize("quotients", [True, False], ids=["quotients", "forced-collisions"])
@@ -336,6 +358,35 @@ def test_step_returns_what_walk_yielded(monkeypatch, quotients):
     for u in range(1, len(table.words)):
         assert table.step(u, -table.letter[u], make=False) == table.parent[u]
     assert [len(a) for a in _table_arrays(table)] == sizes
+
+
+CLOSING_WALK = "gens: a b\nrel: b a^-1 b^-1 a b a b^2 a^2 b a^-2\n"  # C'(1/6), length 13
+
+
+@pytest.mark.parametrize(
+    "make, radius, quotients, inner",
+    [
+        (lambda: gen_example("tv", I={1, 2}, k=7), 7, True, 0),
+        (lambda: gen_example("tv", I={1, 2}, k=7), 8, True, 0),
+        (lambda: gen_example("tv", I={1, 2}, k=7), 7, False, 0),
+        (lambda: gen_example("tv", I={1, 2}, k=7), 8, False, 0),
+        (lambda: parse_presentation(CLOSING_WALK), 6, True, 13),
+    ],
+    ids=["tv12-r7", "tv12-r8", "tv12-r7-forced-collisions", "tv12-r8-forced-collisions", "len13-r6"],
+)
+def test_step_records_the_moves_walk_yielded(make, radius, quotients, inner, monkeypatch):
+    # the table's edges and move maps are those recorded from walk()'s
+    # yields alone, through the closing walk that makes no element; that
+    # walk records the edges inside the last sphere, which an odd relator
+    # has and the bipartite tv graph has not
+    if not quotients:
+        monkeypatch.setattr(complexes, "_find_finite_quotients", _no_quotients)
+    p = make()
+    table = complexes.ElementTable(p, DehnMachine(p), vertex_budget=100_000, seed=0)
+    edges, edge_gens, moves = walked_moves(table, radius)
+    assert table.edges == edges and table.edge_gens == edge_gens and table.moves == moves
+    assert len(table.spheres) == radius + 2 and all(len(a) == len(table.words) for a in moves.values())
+    assert sum(table.spheres[-2] <= min(u, v) for u, v in edges) == inner
 
 
 def test_step_lands_by_dehn_reduction_and_by_bucket_probe(monkeypatch):
@@ -375,7 +426,7 @@ def test_table_word_is_the_shortlex_tree_spelling():
     assert len(spelled) == 4371
     for v, w in enumerate(spelled):
         assert type(table.word(v)) is Word and table.word(v) == w, v
-        assert len(table.words[v]) == len(w) and table.vid_of[table.words[v]] == v
+        assert len(table.words[v]) == len(w) and table.index(table.word(v)) == v
     rng = random.Random(7)
     for v in rng.sample(range(table.spheres[5], len(spelled)), 6):
         w = table.word(v)
